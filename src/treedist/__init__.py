@@ -28,6 +28,7 @@ from .symmetry import (
     Coloring,
     FixReport,
     canonical_codes,
+    canonical_labels,
     distinguishing_number,
     enumerate_automorphisms,
     fix_report,

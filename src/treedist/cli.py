@@ -22,7 +22,7 @@ from .coloring import (
     longest_spine,
     ColoringTrace,
 )
-from .errors import TreedistError
+from .errors import BadFormat, TreedistError
 from .symmetry import Coloring, distinguishing_number, fix_report
 from .tree_core import Tree, format_edge_list, max_valence, parse_edge_list, random_tree
 from .verifier import MAX_ORACLE_N, run_random_campaign, verify_fixing_guarantee
@@ -121,7 +121,11 @@ def cmd_color(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     tree = read_tree(args.tree)
     with open(args.coloring, "r", encoding="utf-8") as fh:
-        coloring = Coloring.from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # also covers bytes that are not UTF-8
+            raise BadFormat(f"{args.coloring}: not a coloring JSON file: {exc}") from None
+    coloring = Coloring.from_json_dict(data)
     if not coloring.is_total or len(coloring.colors) != tree.n:
         print("error: coloring is partial or does not match the tree", file=sys.stderr)
         return 2

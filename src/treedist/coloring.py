@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import BadParams, BadSpine, IndexOverflow, NotRegularProfile
-from .symmetry import UNCOLORED, Coloring, structural_codes, subtree_code
+from .symmetry import UNCOLORED, Coloring, canonical_labels, structural_codes
 from .tree_core import (
     CenterKind,
     CenterLocus,
@@ -234,6 +234,32 @@ def color_tree(
     def admits(u: int) -> bool:
         return radius.admits(rv.heights[u])
 
+    shape: list[int] | None = None  # structural labels, computed on first need
+
+    def twins(siblings: list[int]) -> list[list[int]]:
+        """Groups (ascending, >= 2 members, ordered by first member) of
+        admitted siblings whose colored subtrees are isomorphic.  Such twins
+        share their own color and their uncolored shape, so only classes of
+        that pair with two or more members are labelled by colored subtree."""
+        nonlocal shape
+        admitted = [x for x in sorted(siblings) if admits(x)]
+        if len(admitted) < 2:
+            return []
+        if shape is None:
+            shape = canonical_labels(rv, [0] * n)
+        candidates: dict[tuple[int, int], list[int]] = {}
+        for x in admitted:
+            candidates.setdefault((colors[x], shape[x]), []).append(x)
+        multi: list[list[int]] = []
+        for cand in candidates.values():
+            if len(cand) < 2:
+                continue
+            groups: dict[int, list[int]] = {}
+            for x, label in zip(cand, canonical_labels(rv, colors, cand)):
+                groups.setdefault(label, []).append(x)
+            multi.extend(g for g in groups.values() if len(g) >= 2)
+        return sorted(multi, key=lambda g: g[0])
+
     def step4(line: MainLine) -> list[list[int]]:
         created: list[list[int]] = []
         verts = line.vertices
@@ -265,14 +291,8 @@ def color_tree(
         # those lines and may create new sets, processed depth-first
         stack = list(sets)
         while stack:
-            siblings = stack.pop()
-            groups: dict[bytes, list[int]] = {}
-            for x in sorted(siblings):
-                if admits(x):
-                    groups.setdefault(subtree_code(rv, colors, c, x), []).append(x)
-            multi = sorted((g for g in groups.values() if len(g) >= 2), key=lambda g: g[0])
             lines: list[MainLine] = []
-            for group in multi:
+            for group in twins(stack.pop()):
                 event: list[MainLine] = []
                 for idx, v in enumerate(group):
                     path = _longest_descent(rv, v)
@@ -424,7 +444,8 @@ def color_near_distinguishing(tree: Tree) -> Coloring:
         if len(nbrs) == num + 1 and num >= 2:
             # full-valence center: first and last neighbor share color 0
             twin_a, twin_b = nbrs[0], nbrs[num]
-            if subtree_code(rv, colors, num, twin_a) == subtree_code(rv, colors, num, twin_b):
+            label_a, label_b = canonical_labels(rv, colors, (twin_a, twin_b))
+            if label_a == label_b:
                 if rv.children[twin_b]:
                     _retint_one_leaf(rv, colors, num, twin_b)
                 # two bare sibling leaves stay as the allowed exceptional pair

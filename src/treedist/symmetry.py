@@ -1,10 +1,20 @@
-"""Ground-truth engine: canonical codes, automorphism enumeration, orbits.
+"""Ground-truth engine: canonical labels, automorphism enumeration, orbits.
+
+Subtree isomorphism is decided by canonical_labels, the Aho-Hopcroft-Ullman
+scheme: bottom-up, each vertex's (color, sorted child labels) pair is interned
+to a small integer, so equal labels mean isomorphic colored rooted subtrees.
+A vertex with k children costs one sort of k integers and one dict lookup,
+O(n log k) for a tree of max valence k, where nested byte codes grew with
+subtree size, O(n^2) on a path.  Those byte-code builders (canonical_codes,
+subtree_code, structural_codes) remain as reference oracles for the tests;
+only color_regular, whose sibling order is defined by the bytewise order of
+structural codes, still calls one.
 
 Everything here is pure given immutable inputs, so different trees can be
 processed in parallel without coordination.  fix_report computes orbits and
-the exact automorphism count from canonical codes alone; enumerate_automorphisms
-is a deliberately separate search path that lists explicit permutations, so
-the two can be checked against each other.
+the exact automorphism count from canonical labels alone;
+enumerate_automorphisms is a deliberately separate search path that lists
+explicit permutations, so the two can be checked against each other.
 """
 
 from __future__ import annotations
@@ -12,10 +22,12 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import count
 
 from .errors import (
+    BadFormat,
     BadParams,
     LimitExceeded,
     NotFoundWithinMax,
@@ -38,7 +50,7 @@ def oracle_budget() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_AUT_LIMIT
+        raise BadParams(f"TREEDIST_BUDGET must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -64,39 +76,90 @@ class Coloring:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Coloring":
-        return cls(num_colors=int(data["num_colors"]), colors=tuple(int(c) for c in data["colors"]))
+        try:
+            num_colors = int(data["num_colors"])
+            colors = tuple(int(c) for c in data["colors"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadFormat(f"malformed coloring: {type(exc).__name__}: {exc}") from None
+        return cls(num_colors=num_colors, colors=colors)
+
+
+def canonical_labels(
+    rv: RootedView, colors: Sequence[int], tops: Sequence[int] | None = None
+) -> list[int]:
+    """Canonical integer label of the colored subtree below each vertex of `tops`.
+
+    Labels are assigned bottom-up: each vertex's key is its color together
+    with the sorted labels of its children, and every distinct key is interned
+    to the next small integer.  The intern table is shared by all vertices of
+    one call, so two of them get equal labels exactly when their rooted
+    colored subtrees are isomorphic.  UNCOLORED is a color like any other.
+    Without `tops` every vertex is labelled and the result is indexed by
+    vertex; with `tops` only their subtrees are visited and the result
+    follows the order of `tops`.  Labels from different calls are unrelated.
+    """
+    table: dict[tuple[int, tuple[int, ...]], int] = {}
+    children = rv.children
+    if tops is None:
+        labels: list[int] | dict[int, int] = [0] * rv.tree.n
+        order: Iterable[int] = reversed(rv.order)
+    else:
+        labels = {}
+        # every vertex is listed before its descendants, so reversed() puts
+        # children first
+        listed: list[int] = []
+        stack = list(tops)
+        while stack:
+            u = stack.pop()
+            listed.append(u)
+            stack.extend(children[u])
+        order = reversed(listed)
+    for u in order:
+        key = (colors[u], tuple(sorted([labels[w] for w in children[u]])))
+        labels[u] = table.setdefault(key, len(table))
+    if tops is None:
+        return labels
+    return [labels[t] for t in tops]
+
+
+def _byte_codes(
+    rv: RootedView, order: Iterable[int], colors: Sequence[int] | None = None, num_colors: int = 0
+) -> dict[int, bytes]:
+    """Nested byte code of every vertex in `order` (children before parents):
+    the vertex's color as 4 bytes (none when `colors` is None; UNCOLORED as
+    the sentinel num_colors), then its children's codes sorted bytewise, in
+    parentheses."""
+    codes: dict[int, bytes] = {}
+    for u in order:
+        if colors is None:
+            tag = b""
+        else:
+            tag = (num_colors if colors[u] == UNCOLORED else colors[u]).to_bytes(4, "big")
+        codes[u] = b"(" + tag + b"".join(sorted(codes[w] for w in rv.children[u])) + b")"
+    return codes
 
 
 def canonical_codes(rv: RootedView, coloring: Coloring) -> list[bytes]:
     """Per-vertex canonical byte code of the colored subtree below each vertex.
 
-    code(u) is built from u's own color and the bytewise-sorted codes of its
-    children, so two vertices get equal codes exactly when their rooted
-    colored subtrees are isomorphic.  Uncolored vertices participate with the
-    sentinel color value num_colors.
+    A reference oracle for canonical_labels: codes grow with subtree size, so
+    no library path calls this.  Equal codes mean isomorphic colored subtrees.
     """
-    codes: list[bytes] = [b""] * rv.tree.n
-    sentinel = coloring.num_colors
-    for u in reversed(rv.order):
-        c = coloring.colors[u]
-        if c == UNCOLORED:
-            c = sentinel
-        child_codes = sorted(codes[w] for w in rv.children[u])
-        codes[u] = b"(" + c.to_bytes(4, "big") + b"".join(child_codes) + b")"
-    return codes
+    codes = _byte_codes(rv, reversed(rv.order), coloring.colors, coloring.num_colors)
+    return [codes[u] for u in range(rv.tree.n)]
 
 
 def subtree_code(rv: RootedView, colors: list[int], num_colors: int, u: int) -> bytes:
-    """Canonical code of u's subtree over a raw color array (partial allowed)."""
-    post = rv.subtree(u)
-    codes: dict[int, bytes] = {}
-    for w in reversed(post):
-        c = colors[w]
-        if c == UNCOLORED:
-            c = num_colors
-        child_codes = sorted(codes[x] for x in rv.children[w])
-        codes[w] = b"(" + c.to_bytes(4, "big") + b"".join(child_codes) + b")"
-    return codes[u]
+    """Canonical byte code of u's subtree over a raw color array (partial
+    allowed); the reference oracle for canonical_labels with `tops`."""
+    return _byte_codes(rv, reversed(rv.subtree(u)), colors, num_colors)[u]
+
+
+def structural_codes(rv: RootedView) -> list[bytes]:
+    """Per-vertex canonical byte code of the uncolored subtree shape below
+    each vertex.  color_regular orders siblings by these codes bytewise."""
+    codes = _byte_codes(rv, reversed(rv.order))
+    return [codes[u] for u in range(rv.tree.n)]
 
 
 @dataclass(frozen=True)
@@ -136,23 +199,23 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
     """Orbits, fixed set and exact automorphism count for a total coloring.
 
     The tree is rooted at its center.  With an edge center the two halves may
-    additionally be swapped when their colored canonical codes coincide; that
+    additionally be swapped when their colored canonical labels coincide; that
     swap merges the matched orbits and doubles the count.
     """
     _require_total(tree, coloring)
     loc = center(tree)
     rv = root_at(tree, loc)
-    codes = canonical_codes(rv, coloring)
+    labels = canonical_labels(rv, coloring.colors)
 
     aut = 1
     for u in range(tree.n):
-        mult: dict[bytes, int] = {}
+        mult: dict[int, int] = {}
         for w in rv.children[u]:
-            mult[codes[w]] = mult.get(codes[w], 0) + 1
+            mult[labels[w]] = mult.get(labels[w], 0) + 1
         for m in mult.values():
             aut *= math.factorial(m)
 
-    swap = loc.kind is CenterKind.EDGE and codes[rv.roots[0]] == codes[rv.roots[1]]
+    swap = loc.kind is CenterKind.EDGE and labels[rv.roots[0]] == labels[rv.roots[1]]
     if swap:
         aut *= 2
 
@@ -166,12 +229,12 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
         for r in rv.roots:
             orbit[r] = next(ids)
     # depth order guarantees parents are labelled first; vertices merge when
-    # their parents share an orbit and their codes coincide
-    groups: dict[tuple[int, bytes], int] = {}
+    # their parents share an orbit and their labels coincide
+    groups: dict[tuple[int, int], int] = {}
     for u in rv.order:
         if orbit[u] >= 0:
             continue
-        key = (orbit[rv.parent[u]], codes[u])
+        key = (orbit[rv.parent[u]], labels[u])
         if key not in groups:
             groups[key] = next(ids)
         orbit[u] = groups[key]
@@ -188,7 +251,7 @@ def enumerate_automorphisms(
 ) -> list[tuple[int, ...]]:
     """Explicit list of all color-preserving automorphisms as permutations.
 
-    Independent of the canonical-code machinery: a backtracking search maps
+    Independent of the canonical-label machinery: a backtracking search maps
     vertices in BFS order, and every produced permutation is re-verified to
     map edges to edges and preserve colors.  Raises LimitExceeded once more
     than `limit` permutations are found (default: the oracle budget).
@@ -266,48 +329,32 @@ def unfixed_vertices(tree: Tree, coloring: Coloring) -> set[int]:
     return fix_report(tree, coloring).unfixed_set()
 
 
-def structural_codes(rv: RootedView) -> list[bytes]:
-    """Per-vertex canonical code of the uncolored subtree shape below each vertex."""
-    codes: list[bytes] = [b""] * rv.tree.n
-    for u in reversed(rv.order):
-        child_codes = sorted(codes[w] for w in rv.children[u])
-        codes[u] = b"(" + b"".join(child_codes) + b")"
-    return codes
-
-
-def _distinguishing_class_count(rv: RootedView, root: int, d: int, cap: int) -> int:
-    """Number of isomorphism classes of distinguishing d-colorings of the
-    rooted subtree at `root`, capped at `cap` (a threshold-safe ceiling).
+def _distinguishing_class_counts(rv: RootedView, shape: list[int], d: int, cap: int) -> dict[int, int]:
+    """Number of isomorphism classes of distinguishing d-colorings of each
+    rooted subtree shape, keyed by shape label and capped at `cap` (a
+    threshold-safe ceiling).
 
     A coloring of a rooted subtree is distinguishing when, within every
     isomorphism class of sibling subtrees, the colored versions hung below are
-    pairwise non-isomorphic and each is itself distinguishing.  The count only
-    ever feeds "are there at least m classes" questions with m <= cap-1, so
+    pairwise non-isomorphic and each is itself distinguishing.  The counts only
+    ever feed "are there at least m classes" questions with m <= cap-1, so
     capping keeps the integers small without changing any comparison.
+    Shapes are counted bottom-up, once each, so depth costs no recursion.
     """
-    struct = structural_codes(rv)
-    memo: dict[bytes, int] = {}
-
-    def classes(u: int) -> int:
-        key = struct[u]
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        mult: dict[bytes, int] = {}
-        rep: dict[bytes, int] = {}
+    counts: dict[int, int] = {}
+    for u in reversed(rv.order):
+        if shape[u] in counts:
+            continue
+        mult: dict[int, int] = {}
         for w in rv.children[u]:
-            mult[struct[w]] = mult.get(struct[w], 0) + 1
-            rep.setdefault(struct[w], w)
+            mult[shape[w]] = mult.get(shape[w], 0) + 1
         total = d
-        for code, m in mult.items():
-            total *= math.comb(min(classes(rep[code]), cap), m)
+        for label, m in mult.items():
+            total *= math.comb(min(counts[label], cap), m)
             if total == 0:
                 break
-        total = min(total, cap)
-        memo[key] = total
-        return total
-
-    return classes(root)
+        counts[shape[u]] = min(total, cap)
+    return counts
 
 
 def distinguishing_number(tree: Tree, max_colors: int, size_guard: int = 24) -> int:
@@ -323,19 +370,18 @@ def distinguishing_number(tree: Tree, max_colors: int, size_guard: int = 24) -> 
         raise SearchBudgetExceeded(f"n={tree.n} exceeds size guard {size_guard}")
     loc = center(tree)
     rv = root_at(tree, loc)
+    shape = canonical_labels(rv, [0] * tree.n)
     cap = tree.n + 2
     for d in range(1, max_colors + 1):
+        counts = _distinguishing_class_counts(rv, shape, d, cap)
         if loc.kind is CenterKind.VERTEX:
-            ok = _distinguishing_class_count(rv, rv.roots[0], d, cap) >= 1
+            ok = counts[shape[rv.roots[0]]] >= 1
         else:
             a, b = rv.roots
-            struct = structural_codes(rv)
-            fa = _distinguishing_class_count(rv, a, d, cap)
-            if struct[a] == struct[b]:
-                ok = fa >= 2
+            if shape[a] == shape[b]:
+                ok = counts[shape[a]] >= 2
             else:
-                fb = _distinguishing_class_count(rv, b, d, cap)
-                ok = fa >= 1 and fb >= 1
+                ok = counts[shape[a]] >= 1 and counts[shape[b]] >= 1
         if ok:
             return d
     raise NotFoundWithinMax(f"no distinguishing coloring with <= {max_colors} colors")

@@ -172,7 +172,7 @@ def parse_edge_list(text: str) -> Tree:
 
     Blank lines and '#' comments are ignored, except that a comment of the
     form "# n=K" pins the vertex count (the only way to express the
-    single-vertex tree, which has no edges).
+    single-vertex tree, which has no edges); K must be an integer.
     """
     edges: list[tuple[int, int]] = []
     declared_n: int | None = None
@@ -186,7 +186,7 @@ def parse_edge_list(text: str) -> Tree:
                 try:
                     declared_n = int(body[2:])
                 except ValueError:
-                    pass
+                    raise BadFormat(f"line {lineno}: vertex count is not an integer in {line!r}") from None
             continue
         parts = line.split()
         if len(parts) != 2:

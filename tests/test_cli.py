@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import re
 
+import pytest
+
 from treedist.cli import main, render_radius_table
 
 import helpers
@@ -85,6 +87,13 @@ class TestColor:
         code, _, err = run(capsys, "color", str(FIXDIR / "path10.tree"))
         assert code == 2
 
+    def test_bad_vertex_count_header_exit2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.tree"
+        bad.write_text("# n=x\n0 1\n1 2\n")
+        code, _, err = run(capsys, "color", "--colors", "2", str(bad))
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_parse_error_exit2(self, capsys, tmp_path):
         bad = tmp_path / "bad.tree"
         bad.write_text("0 1\n2 3\n")
@@ -127,6 +136,26 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(FIXDIR / "path5.tree"), "--coloring", str(colj))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"not json at all",
+            b"\xff\xfe not UTF-8",
+            b'{"colors": [0, 1, 0, 1, 0]}',
+            b'{"num_colors": 2}',
+            b"[0, 1, 0, 1, 0]",
+            b'{"num_colors": 2, "colors": 7}',
+            b'{"num_colors": "two", "colors": [0, 1, 0, 1, 0]}',
+        ],
+    )
+    def test_malformed_coloring_exit2(self, capsys, tmp_path, data):
+        colj = tmp_path / "coloring.json"
+        colj.write_bytes(data)
+        code, _, err = run(capsys, "verify", str(FIXDIR / "path5.tree"), "--coloring", str(colj))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_report_mode(self, capsys, tmp_path):
         colj = tmp_path / "coloring.json"
         tree_path = str(FIXDIR / "glued_stars.tree")
@@ -149,6 +178,14 @@ class TestDnumber:
 
     def test_path5(self, capsys):
         code, out, _ = run(capsys, "dnumber", str(FIXDIR / "path5.tree"))
+        assert (code, out.strip()) == (0, "2")
+
+    def test_deep_path(self, capsys, tmp_path):
+        # one level per vertex: deeper than the interpreter's recursion limit
+        n = 8000
+        tree = tmp_path / "path.tree"
+        tree.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        code, out, _ = run(capsys, "dnumber", str(tree), "--size-guard", str(n))
         assert (code, out.strip()) == (0, "2")
 
     def test_over_budget_exit2(self, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -10,7 +12,9 @@ from treedist import (
     Coloring,
     UNCOLORED,
     canonical_codes,
+    canonical_labels,
     center,
+    color_tree,
     distinguishing_number,
     enumerate_automorphisms,
     fix_report,
@@ -22,11 +26,13 @@ from treedist import (
     unfixed_vertices,
 )
 from treedist.errors import (
+    BadParams,
     LimitExceeded,
     NotFoundWithinMax,
     PartialColoring,
     SearchBudgetExceeded,
 )
+from treedist.symmetry import subtree_code
 
 import helpers
 
@@ -72,6 +78,7 @@ class TestCanonicalCodes:
             coloring = Coloring(2, cols)
             rv = root_at(t, center(t))
             codes = canonical_codes(rv, coloring)
+            labels = canonical_labels(rv, cols)
             for p in range(t.n):
                 kids = rv.children[p]
                 for i in range(len(kids)):
@@ -88,9 +95,51 @@ class TestCanonicalCodes:
                         sub_col = Coloring(2, tuple(cols[v] for v in verts))
                         autos = helpers.brute_force_automorphisms(sub, sub_col)
                         swaps = any(a[index[u]] == index[w] for a in autos)
-                        assert swaps == (codes[u] == codes[w])
+                        assert swaps == (codes[u] == codes[w]) == (labels[u] == labels[w])
                         checked += 1
         assert checked > 50
+
+
+@st.composite
+def partially_colored_trees(draw):
+    """A random tree rooted at its center or at a random vertex, and a random
+    coloring with up to 3 colors in which any vertex may stay UNCOLORED."""
+    t = random_tree(draw(st.integers(1, 30)), draw(st.integers(2, 5)), draw(st.integers(0, 10**6)))
+    root = draw(st.one_of(st.none(), st.integers(0, t.n - 1)))
+    rv = root_at(t, center(t) if root is None else root)
+    c = draw(st.integers(1, 3))
+    colors = draw(st.lists(st.integers(UNCOLORED, c - 1), min_size=t.n, max_size=t.n))
+    return rv, Coloring(c, tuple(colors))
+
+
+class TestCanonicalLabels:
+    @settings(max_examples=150, deadline=None)
+    @given(case=partially_colored_trees())
+    def test_label_equality_is_code_equality(self, case):
+        rv, coloring = case
+        labels = canonical_labels(rv, coloring.colors)
+        codes = canonical_codes(rv, coloring)
+        n = rv.tree.n
+        for u in range(n):
+            for v in range(n):
+                assert (labels[u] == labels[v]) == (codes[u] == codes[v])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=partially_colored_trees())
+    def test_sibling_labels_match_subtree_codes(self, case):
+        rv, coloring = case
+        colors = list(coloring.colors)
+        for kids in rv.children:
+            labels = canonical_labels(rv, colors, kids)
+            codes = [subtree_code(rv, colors, coloring.num_colors, x) for x in kids]
+            for i in range(len(kids)):
+                for j in range(len(kids)):
+                    assert (labels[i] == labels[j]) == (codes[i] == codes[j])
+
+    def test_uncolored_is_its_own_color(self):
+        rv = root_at(helpers.star_tree(3), 0)
+        labels = canonical_labels(rv, (0, UNCOLORED, 0, UNCOLORED))
+        assert labels[1] == labels[3] != labels[2]
 
 
 class TestFixReport:
@@ -170,6 +219,11 @@ class TestEnumerateAutomorphisms:
         t = helpers.star_tree(6)
         with pytest.raises(LimitExceeded):
             enumerate_automorphisms(t, mono(7))
+
+    def test_budget_env_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("TREEDIST_BUDGET", "abc")
+        with pytest.raises(BadParams):
+            enumerate_automorphisms(helpers.star_tree(2), mono(3))
 
     def test_permutations_verified(self):
         rng = random.Random(17)
@@ -263,3 +317,110 @@ class TestDistinguishingNumber:
         t = random_tree(n, k, seed)
         d = distinguishing_number(t, max_valence(t) + 1)
         assert 1 <= d <= max_valence(t) + 1
+
+
+def _spider(legs: int, length: int):
+    edges = []
+    nxt = 1
+    for _ in range(legs):
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return tree_from_edges(edges, n=nxt)
+
+
+def _hub(copies: int, sub):
+    edges = []
+    for i in range(copies):
+        base = 1 + i * sub.n
+        edges.append((0, base))
+        edges.extend((base + u, base + v) for u, v in sub.edges())
+    return tree_from_edges(edges, n=1 + copies * sub.n)
+
+
+#: Digests (sha256 prefix) of the coloring and trace JSON that color_tree
+#: produced for every fixture, plus four generated trees on which main lines
+#: fire, at every c from 2 to the max valence.  Recorded with the byte-code
+#: labelling, before the switch to interned labels, which must not change a
+#: single output byte.
+GOLDEN_COLOR_TREE = {
+    ("complete_1_3_depth1", 2): ("945451573d4b9a4b", "c6b91bd482a43c38"),
+    ("complete_1_3_depth1", 3): ("ac83787b2c016fa0", "35ad399115c2c370"),
+    ("complete_1_3_depth2", 2): ("7044aab263e55098", "c8a19543a9b7d351"),
+    ("complete_1_3_depth2", 3): ("27dd243eb6467ddf", "29f0433ccea247b7"),
+    ("complete_1_3_depth3", 2): ("4d60b3bffc215988", "c512a1173871893f"),
+    ("complete_1_3_depth3", 3): ("9dfd3697c2057cec", "3be0ae46cb9f7a3b"),
+    ("complete_1_4_depth1", 2): ("9a43b82aa7d8203b", "6bc0dcc7dc36eedf"),
+    ("complete_1_4_depth1", 3): ("01944d0d2cd132f3", "49d0af5e56da43fb"),
+    ("complete_1_4_depth1", 4): ("e34349c86c729e5f", "fd8ab8fa29a4ac7e"),
+    ("complete_1_4_depth2", 2): ("f93093394cfe4a7a", "d99a033b5c8b7444"),
+    ("complete_1_4_depth2", 3): ("649525924a408e1b", "1a07e07f31eab3f0"),
+    ("complete_1_4_depth2", 4): ("32b5c090908547af", "db8e0674628cc2d2"),
+    ("complete_1_4_depth3", 2): ("35ab48516adbac01", "1f1da925cf36277b"),
+    ("complete_1_4_depth3", 3): ("274763d250a7cae1", "3192d5d0e8326337"),
+    ("complete_1_4_depth3", 4): ("330327e654b102cf", "ebcc9e0cabbac639"),
+    ("glued_stars", 2): ("7044aab263e55098", "c8a19543a9b7d351"),
+    ("glued_stars", 3): ("27dd243eb6467ddf", "29f0433ccea247b7"),
+    ("hub10_tails2", 2): ("6360d54a16f68ac8", "763b4d558494ae88"),
+    ("hub10_tails2", 3): ("e4cccd8fc7818a8b", "9a294dce3223b118"),
+    ("hub10_tails2", 4): ("9d09b493bcb558cb", "3b3028ae91000c60"),
+    ("hub10_tails2", 5): ("7bd0601036024194", "6d995b852c173b2c"),
+    ("hub10_tails2", 6): ("fa5e49e550d52fcc", "d142016bff6d3348"),
+    ("hub10_tails2", 7): ("7b09be94cbc47b40", "67e37db7b077394a"),
+    ("hub10_tails2", 8): ("9e29ce00a236c27a", "d2ab30fa8967647e"),
+    ("hub10_tails2", 9): ("929d4b1d6022271f", "26bbc92d6b376939"),
+    ("hub10_tails2", 10): ("b57712cd0a25552b", "0fd3095625d1323c"),
+    ("path10", 2): ("c1acae768e8ca293", "d1d7bede96311429"),
+    ("path4", 2): ("27bba8ac7011beaa", "7211305f38656b4e"),
+    ("path5", 2): ("54aefbc6448338c4", "4c598564312bb69e"),
+    ("spider_8x6", 2): ("dddc79cbb8cdf861", "c0dcc577aed4f1b3"),
+    ("spider_8x6", 3): ("6b82e3834e698e6f", "ff5dadf94b664062"),
+    ("spider_8x6", 4): ("155438b6b3921be6", "34a4a3d8ec124c30"),
+    ("spider_8x6", 5): ("9d10adde1c69222a", "d479217d54c841b2"),
+    ("spider_8x6", 6): ("840dfc44c57b49f2", "4d61eb51b444152e"),
+    ("spider_8x6", 7): ("991bab17ae62ad2b", "891215309a8b612e"),
+    ("spider_8x6", 8): ("da2f4033af5f02db", "f69fef3284345f65"),
+    ("complete_1_7_depth3", 2): ("cd1dc0732816f0b7", "2578e2edd47d084b"),
+    ("complete_1_7_depth3", 3): ("5c10bc71438b30df", "0abf99a22192ca22"),
+    ("complete_1_7_depth3", 4): ("2f934153ece74245", "8bd513cc3c3fa725"),
+    ("complete_1_7_depth3", 5): ("c463bc047780b77c", "0abe11b0558b1806"),
+    ("complete_1_7_depth3", 6): ("4e1639d0daaad0fc", "340af241f1eda80f"),
+    ("complete_1_7_depth3", 7): ("bd7a46ae05c3da8d", "02b9c5cc90212e99"),
+    ("hub4_binary4", 2): ("e31691e1d052c086", "f7e79aec817e8788"),
+    ("hub4_binary4", 3): ("8e3acec779c2f3f4", "a5c0abf42c2fb641"),
+    ("hub4_binary4", 4): ("9e37f2bfcf78ab0c", "5401a8fbdec77a28"),
+    ("random_300_k6", 2): ("40fee06587da9ce1", "a1f822bc9e2e677d"),
+    ("random_300_k6", 3): ("dc969b837e53d2d5", "e984b2f81ec8e383"),
+    ("random_300_k6", 4): ("982f61a3ae24613b", "a3c3f19fef3cd381"),
+    ("random_300_k6", 5): ("3cfedb1452a0995b", "5118d70f993cbb8f"),
+    ("random_300_k6", 6): ("0a6ae26afe9be539", "a56f9e17b212f99e"),
+}
+
+
+def _golden_tree(name: str):
+    generated = {
+        "spider_8x6": lambda: _spider(8, 6),
+        "complete_1_7_depth3": lambda: helpers.complete_tree(7, 3),
+        "hub4_binary4": lambda: _hub(4, helpers.complete_tree(3, 4)),
+        "random_300_k6": lambda: random_tree(300, 6, 2),
+    }
+    return generated[name]() if name in generated else helpers.load_fixture(name)
+
+
+class TestColorTreeGolden:
+    def test_every_fixture_and_color_count_covered(self):
+        for path in helpers.FIXTURES.glob("*.tree"):
+            k = max_valence(helpers.load_fixture(path.stem))
+            assert {c for name, c in GOLDEN_COLOR_TREE if name == path.stem} == set(range(2, k + 1))
+
+    @pytest.mark.parametrize("name", sorted({name for name, _ in GOLDEN_COLOR_TREE}))
+    def test_coloring_and_trace_bytes_pinned(self, name):
+        def digest(payload: dict) -> str:
+            return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
+
+        t = _golden_tree(name)
+        for c in range(2, max_valence(t) + 1):
+            coloring, trace = color_tree(t, c)
+            got = (digest(coloring.to_json_dict()), digest(trace.to_json_dict()))
+            assert got == GOLDEN_COLOR_TREE[(name, c)], (name, c)

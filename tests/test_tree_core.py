@@ -70,6 +70,10 @@ class TestParseEdgeList:
         with pytest.raises(BadFormat):
             parse_edge_list("0 1 2")
 
+    def test_non_integer_vertex_count_header(self):
+        with pytest.raises(BadFormat):
+            parse_edge_list("# n=x\n0 1\n")
+
     def test_non_contiguous_ids(self):
         with pytest.raises(NonContiguousIds):
             parse_edge_list("0 1\n1 3\n3 4")
