@@ -46,7 +46,6 @@ from .tree_core import (
     center,
     format_edge_list,
     max_valence,
-    meets_distance_condition,
     parse_edge_list,
     random_tree,
     root_at,

@@ -31,10 +31,15 @@ DOT_PALETTE = ("white", "black", "gray", "lightblue", "orange", "palegreen", "pl
 
 
 def read_tree(path: str) -> Tree:
-    if path == "-":
-        return parse_edge_list(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise BadFormat(f"{path}: tree file is not UTF-8 text: {exc}") from None
+    return parse_edge_list(text)
 
 
 def render_dot(tree: Tree, coloring: Coloring | None = None, trace: ColoringTrace | None = None) -> str:

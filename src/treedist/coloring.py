@@ -21,13 +21,11 @@ from dataclasses import dataclass, field
 from .errors import BadParams, BadSpine, IndexOverflow, NotRegularProfile
 from .symmetry import UNCOLORED, Coloring, canonical_labels, structural_codes
 from .tree_core import (
-    CenterKind,
     CenterLocus,
     FixRadius,
     RadiusKind,
     RootedView,
     Tree,
-    center,
     max_valence,
     root_at,
 )
@@ -216,7 +214,7 @@ def color_tree(
         return coloring, ColoringTrace(rules=["lemma"] * n)
 
     # 2 <= c <= k-2, hence k >= 4 and a log-form radius
-    rv = root_at(tree, center(tree) if root is None else root)
+    rv = tree.centered if root is None else root_at(tree, root)
     radius = fix_radius(c, k)
     seq_len = radius.ceil()
     colors = [UNCOLORED] * n
@@ -375,7 +373,7 @@ def _color_all_distinct(
 ) -> tuple[Coloring, ColoringTrace]:
     """With at least max_valence colors, give every sibling group pairwise
     distinct colors; every vertex ends up fixed."""
-    rv = root_at(tree, center(tree) if root is None else root)
+    rv = tree.centered if root is None else root_at(tree, root)
     colors = [UNCOLORED] * tree.n
     rules = ["lemma"] * tree.n
     if len(rv.roots) == 1:
@@ -430,10 +428,9 @@ def color_near_distinguishing(tree: Tree) -> Coloring:
         return Coloring(1, (0,))
     k = max_valence(tree)
     num = max(k - 1, 1)
-    loc = center(tree)
-    rv = root_at(tree, loc)
+    rv = tree.centered
     colors = [UNCOLORED] * n
-    if loc.kind is CenterKind.VERTEX:
+    if len(rv.roots) == 1:
         v = rv.roots[0]
         colors[v] = 0
         nbrs = rv.children[v]
@@ -493,11 +490,10 @@ def color_regular(tree: Tree) -> Coloring:
     bad = [v for v in range(n) if tree.degree(v) not in (1, k)]
     if bad:
         raise NotRegularProfile(f"vertex {bad[0]} has valence {tree.degree(bad[0])}, not 1 or {k}")
-    loc = center(tree)
-    rv = root_at(tree, loc)
+    rv = tree.centered
     struct = structural_codes(rv)
     colors = [UNCOLORED] * n
-    if loc.kind is CenterKind.VERTEX:
+    if len(rv.roots) == 1:
         v = rv.roots[0]
         colors[v] = 0
         for x in rv.children[v]:

@@ -34,7 +34,7 @@ from .errors import (
     PartialColoring,
     SearchBudgetExceeded,
 )
-from .tree_core import CenterKind, RootedView, Tree, center, root_at
+from .tree_core import RootedView, Tree
 
 UNCOLORED = -1
 
@@ -203,8 +203,7 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
     swap merges the matched orbits and doubles the count.
     """
     _require_total(tree, coloring)
-    loc = center(tree)
-    rv = root_at(tree, loc)
+    rv = tree.centered
     labels = canonical_labels(rv, coloring.colors)
 
     aut = 1
@@ -215,7 +214,7 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
         for m in mult.values():
             aut *= math.factorial(m)
 
-    swap = loc.kind is CenterKind.EDGE and labels[rv.roots[0]] == labels[rv.roots[1]]
+    swap = len(rv.roots) == 2 and labels[rv.roots[0]] == labels[rv.roots[1]]
     if swap:
         aut *= 2
 
@@ -368,13 +367,12 @@ def distinguishing_number(tree: Tree, max_colors: int, size_guard: int = 24) -> 
         raise BadParams("max_colors must be >= 1")
     if tree.n > size_guard:
         raise SearchBudgetExceeded(f"n={tree.n} exceeds size guard {size_guard}")
-    loc = center(tree)
-    rv = root_at(tree, loc)
+    rv = tree.centered
     shape = canonical_labels(rv, [0] * tree.n)
     cap = tree.n + 2
     for d in range(1, max_colors + 1):
         counts = _distinguishing_class_counts(rv, shape, d, cap)
-        if loc.kind is CenterKind.VERTEX:
+        if len(rv.roots) == 1:
             ok = counts[shape[rv.roots[0]]] >= 1
         else:
             a, b = rv.roots

@@ -3,7 +3,10 @@
 Trees are immutable: vertices are exactly 0..n-1, adjacency lists are sorted
 tuples.  A RootedView adds parent/depth/children indexing from one root (or
 from the two endpoints of an edge center, each rooting its own half) and is
-likewise immutable, so both types are safe to share across threads.
+likewise immutable, so both types are safe to share across threads.  Every
+Tree carries its center-rooted view, Tree.centered, built on first use and
+then shared by all callers; the view is a deterministic function of the
+tree, so building it twice yields equal views and sharing stays safe.
 
 Distance thresholds are kept in exact form (FixRadius) and compared with
 integer exponentiation only; no floats are involved anywhere, so boundaries
@@ -16,6 +19,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     BadFormat,
@@ -49,6 +53,17 @@ class Tree:
     def check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise VertexOutOfRange(f"vertex {v} not in 0..{self.n - 1}")
+
+    @cached_property
+    def centered(self) -> RootedView:
+        """The tree rooted at its center, built on first use and then shared.
+
+        cached_property stores the view in the instance __dict__, so the
+        dataclass fields, equality, hash and repr are untouched.  center and
+        root_at are called through this module's globals, so a wrapper rebound
+        on either name (as the benchmark's traced run does) sees the call.
+        """
+        return root_at(self, center(self))
 
 
 class CenterKind(Enum):
@@ -246,7 +261,8 @@ class RootedView:
     With an edge-center locus both endpoints sit at depth 0, the edge between
     them carries no parent/child relation, and each endpoint roots its own
     half.  Children lists are ascending by vertex id; every traversal in the
-    library derives its determinism from that ordering.
+    library derives its determinism from that ordering.  heights[u] is the
+    greatest distance from u to a leaf of its own subtree, 0 at leaves.
     """
 
     def __init__(self, tree: Tree, roots: tuple[int, ...]):
@@ -294,18 +310,6 @@ class RootedView:
             stack.extend(reversed(self.children[w]))
         return out
 
-    def subtree_height(self, u: int) -> int:
-        """Greatest distance from u to a leaf of its own subtree; 0 at leaves."""
-        self.tree.check_vertex(u)
-        return self.heights[u]
-
-    def spheres(self) -> list[list[int]]:
-        """Vertices grouped by depth, each sphere ascending by id."""
-        out: list[list[int]] = [[] for _ in range(max(self.depth) + 1)]
-        for v in range(self.tree.n):
-            out[self.depth[v]].append(v)
-        return out
-
 
 def root_at(tree: Tree, locus: CenterLocus | int) -> RootedView:
     """Root the tree at a CenterLocus or at an explicit vertex."""
@@ -316,11 +320,6 @@ def root_at(tree: Tree, locus: CenterLocus | int) -> RootedView:
     for r in roots:
         tree.check_vertex(r)
     return RootedView(tree, roots)
-
-
-def meets_distance_condition(rv: RootedView, u: int, radius: FixRadius) -> bool:
-    """True iff some leaf of u's subtree lies at distance >= radius from u."""
-    return radius.admits(rv.subtree_height(u))
 
 
 def random_tree(n: int, max_degree: int, seed: int) -> Tree:

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 from .coloring import color_near_distinguishing, color_tree, fix_radius
 from .errors import BadParams, InfeasibleParams, OracleBudgetExceeded
 from .symmetry import Coloring, fix_report
-from .tree_core import (
-    Tree,
-    center,
-    max_valence,
-    meets_distance_condition,
-    random_tree,
-    root_at,
-)
+from .tree_core import Tree, max_valence, random_tree
 
 #: Verification ops refuse trees beyond this size (desk-scale oracle budget).
 MAX_ORACLE_N = 64
@@ -112,13 +105,9 @@ def verify_fixing_guarantee(
     if coloring is None:
         coloring, _ = color_tree(tree, num_colors)
     report = fix_report(tree, coloring)
-    rv = root_at(tree, center(tree))
+    heights = tree.centered.heights
     radius = fix_radius(num_colors, k)
-    witnesses = [
-        u
-        for u in range(tree.n)
-        if meets_distance_condition(rv, u, radius) and not report.fixed[u]
-    ]
+    witnesses = [u for u in range(tree.n) if radius.admits(heights[u]) and not report.fixed[u]]
     failures = []
     if witnesses:
         failures.append(

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import io
 import json
 import re
+from collections import Counter
 
 import pytest
 
+from treedist import cli, coloring, symmetry, tree_core, verifier
 from treedist.cli import main, render_radius_table
 
 import helpers
@@ -246,9 +249,103 @@ class TestCampaign:
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n"))
     code, out, _ = run(capsys, "color", "--colors", "2", "-")
     assert code == 0
     assert out.startswith("n=3 k=2 c=2")
+
+
+NOT_UTF8 = b"\xff\xfe 0 1\n"
+
+
+@pytest.mark.parametrize("argv", [["color", "-c", "2"], ["verify"], ["dnumber"]])
+def test_tree_file_not_utf8_exit2(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.tree"
+    bad.write_bytes(NOT_UTF8)
+    if argv == ["verify"]:
+        colj = tmp_path / "coloring.json"
+        colj.write_text(json.dumps({"num_colors": 2, "colors": [0, 1]}))
+        argv = argv + ["--coloring", str(colj)]
+    code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_stdin_not_utf8_exit2(capsys, monkeypatch, errors):
+    # the interpreter decodes stdin strictly under a UTF-8 locale and with
+    # surrogateescape under C/POSIX; both end in exit 2
+    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors=errors)
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "color", "--colors", "2", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+class TestRootsOnce:
+    """Each subcommand centers and roots its tree once; every later use
+    shares the cached Tree.centered view."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = Counter()
+        original_center = tree_core.center
+
+        def counted_center(tree):
+            counts["center"] += 1
+            return original_center(tree)
+
+        class CountedView(tree_core.RootedView):
+            def __init__(self, tree, roots):
+                counts["RootedView"] += 1
+                super().__init__(tree, roots)
+
+        # rebind every module's `from .tree_core import ...` binding too
+        for module in (tree_core, symmetry, coloring, verifier, cli):
+            if getattr(module, "center", None) is original_center:
+                monkeypatch.setattr(module, "center", counted_center)
+            if getattr(module, "RootedView", None) is tree_core.RootedView:
+                monkeypatch.setattr(module, "RootedView", CountedView)
+        return counts
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["color", "-c", "2", "hub10_tails2"],
+            ["color", "-c", "3", "hub10_tails2"],
+            ["color", "-c", "9", "hub10_tails2"],
+            ["color", "-c", "10", "hub10_tails2"],
+            ["color", "-a", "near", "glued_stars"],
+            ["color", "-a", "regular", "complete_1_4_depth2"],
+            ["dnumber", "--size-guard", "40", "hub10_tails2"],
+        ],
+    )
+    def test_color_and_dnumber(self, capsys, built, argv):
+        *flags, name = argv
+        code, _, _ = run(capsys, *flags, str(FIXDIR / f"{name}.tree"))
+        assert code == 0
+        assert built == {"center": 1, "RootedView": 1}
+
+    @pytest.mark.parametrize("extra", [[], ["--report"]])
+    def test_verify(self, capsys, tmp_path, built, extra):
+        colj = tmp_path / "coloring.json"
+        tree_path = str(FIXDIR / "hub10_tails2.tree")
+        run(capsys, "color", "-c", "3", tree_path, "--coloring-out", str(colj))
+        built.clear()
+        code, _, _ = run(capsys, "verify", tree_path, "--coloring", str(colj), *extra)
+        assert code == 0
+        assert built == {"center": 1, "RootedView": 1}
+
+    def test_campaign_trial(self, built):
+        rooted = 0
+        for index in range(200):
+            built.clear()
+            skipped, failures = verifier._campaign_trial((0, index, 40, 8))
+            assert failures == []
+            assert built["center"] == built["RootedView"] <= 1
+            rooted += built["center"]
+        assert rooted > 150

@@ -20,7 +20,6 @@ from treedist import (
     longest_spine,
     lsb_digits,
     max_valence,
-    meets_distance_condition,
     radius_bound,
     random_tree,
     root_at,
@@ -171,7 +170,7 @@ class TestLsbDigits:
 def guaranteed_vertices(tree, num_colors):
     rv = root_at(tree, center(tree))
     radius = fix_radius(num_colors, max_valence(tree))
-    return {u for u in range(tree.n) if meets_distance_condition(rv, u, radius)}
+    return {u for u in range(tree.n) if radius.admits(rv.heights[u])}
 
 
 class TestColorTreeMain:
@@ -252,6 +251,20 @@ class TestColorTreeMain:
         coloring, _ = color_tree(t, 2, root=0)
         assert coloring.is_total
 
+    @pytest.mark.parametrize("name", ["hub10_tails2", "glued_stars", "path10"])
+    def test_root_override_leaves_centered_view(self, name):
+        # a root override builds its own view; the shared center-rooted view
+        # stays unbuilt, then rooted at the center, and fix_report agrees with
+        # a tree that never saw the override
+        k = max_valence(helpers.load_fixture(name))
+        for c in range(2, k + 1):
+            t = helpers.load_fixture(name)
+            coloring, _ = color_tree(t, c, root=t.n - 1)
+            if c != k - 1:  # c = k-1 ignores the root
+                assert "centered" not in vars(t)
+            assert t.centered.roots == center(t).vertices
+            assert fix_report(t, coloring) == fix_report(helpers.load_fixture(name), coloring)
+
     def test_bad_params(self):
         with pytest.raises(BadParams):
             color_tree(helpers.path_tree(3), 1)
@@ -292,7 +305,7 @@ class TestColorTreeMain:
             for p in range(t.n):
                 counts = {}
                 for x in rv.children[p]:
-                    if meets_distance_condition(rv, x, radius):
+                    if radius.admits(rv.heights[x]):
                         counts[coloring.colors[x]] = counts.get(coloring.colors[x], 0) + 1
                 assert all(v <= bound for v in counts.values()), (p, counts)
 

@@ -13,7 +13,6 @@ from treedist import (
     fix_radius,
     format_edge_list,
     max_valence,
-    meets_distance_condition,
     parse_edge_list,
     random_tree,
     root_at,
@@ -162,6 +161,46 @@ class TestRootAt:
                 assert rv.depth[v] == min(d[v] for d in dists)
 
 
+VIEW_FIELDS = ("roots", "parent", "depth", "children", "order", "heights")
+
+
+class TestCentered:
+    """Tree.centered is the shared center-rooted view: equal to a fresh
+    root_at(tree, center(tree)) and built once per tree."""
+
+    @staticmethod
+    def _assert_fresh_view(t):
+        fresh = root_at(t, center(t))
+        assert t.centered.tree is t
+        for name in VIEW_FIELDS:
+            assert getattr(t.centered, name) == getattr(fresh, name), name
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 40), k=st.integers(2, 6), seed=st.integers(0, 10**6))
+    def test_matches_fresh_rooting(self, n, k, seed):
+        self._assert_fresh_view(random_tree(n, k, seed))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10])
+    def test_paths_vertex_and_edge_centered(self, n):
+        t = helpers.path_tree(n)
+        self._assert_fresh_view(t)
+        assert len(t.centered.roots) == len(center(t).vertices)
+        assert (len(t.centered.roots) == 2) == (center(t).kind is CenterKind.EDGE)
+
+    def test_built_once_and_shared(self):
+        t = helpers.complete_tree(3, 3)
+        assert t.centered is t.centered
+
+    def test_fields_equality_hash_repr_untouched(self):
+        t = helpers.path_tree(4)
+        twin = tree_from_edges([(2, 3), (0, 1), (1, 2)])
+        before = repr(t)
+        assert t.centered.roots == (1, 2)
+        assert t == twin and hash(t) == hash(twin)
+        assert repr(t) == before
+        assert "centered" not in repr(t)
+
+
 class TestSubtree:
     def test_path_subtree(self):
         rv = root_at(helpers.path_tree(5), 2)
@@ -180,11 +219,11 @@ class TestSubtree:
 class TestSubtreeHeight:
     def test_leaf(self):
         rv = root_at(helpers.path_tree(5), 2)
-        assert rv.subtree_height(0) == 0
+        assert rv.heights[0] == 0
 
     def test_path_child(self):
         rv = root_at(helpers.path_tree(5), 2)
-        assert rv.subtree_height(1) == 1
+        assert rv.heights[1] == 1
 
     def test_complete_tree_child_of_root(self):
         t = helpers.complete_tree(3, 3)
@@ -195,7 +234,7 @@ class TestSubtreeHeight:
         sub = set(rv.subtree(child))
         expected = max(dist[w] for w in sub if t.degree(w) == 1)
         assert expected == 2
-        assert rv.subtree_height(child) == expected
+        assert rv.heights[child] == expected
 
     def test_heights_match_bfs_oracle_everywhere(self):
         for seed in range(15):
@@ -205,14 +244,14 @@ class TestSubtreeHeight:
                 sub = rv.subtree(u)
                 dist = helpers.bfs_dist(t, u)
                 childless = [w for w in sub if not rv.children[w]]
-                assert rv.subtree_height(u) == max(dist[w] for w in childless)
+                assert rv.heights[u] == max(dist[w] for w in childless)
 
 
 class TestDistanceCondition:
     def test_zero_radius_always_true(self):
         rv = root_at(helpers.path_tree(5), 2)
         r = FixRadius(RadiusKind.ZERO)
-        assert all(meets_distance_condition(rv, u, r) for u in range(5))
+        assert all(r.admits(rv.heights[u]) for u in range(5))
 
     def test_c3_k10(self):
         r = fix_radius(3, 10)
