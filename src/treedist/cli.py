@@ -33,7 +33,10 @@ DOT_PALETTE = ("white", "black", "gray", "lightblue", "orange", "palegreen", "pl
 def read_tree(path: str) -> Tree:
     try:
         if path == "-":
-            text = sys.stdin.read()
+            # the raw bytes, decoded strictly: the interpreter's own stdin
+            # decoder may be lenient (surrogateescape under a C/POSIX locale)
+            raw = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()

@@ -200,7 +200,8 @@ def color_tree(
     groups that meet it are colored as evenly as possible, and same-colored
     groups that are still structurally indistinguishable get main lines.
     `root` overrides the default center rooting (no guarantee beyond the
-    center-rooted one is claimed).
+    center-rooted one is claimed); with max_valence - 1 colors it is refused,
+    since the near-distinguishing coloring is defined from the center.
     """
     if num_colors < 2:
         raise BadParams("need at least 2 colors")
@@ -210,6 +211,10 @@ def color_tree(
     if c >= k:
         return _color_all_distinct(tree, c, root)
     if c == k - 1:
+        if root is not None:
+            raise BadParams(
+                f"no root override with c = max valence - 1 = {c}: that coloring is rooted at the center"
+            )
         coloring = color_near_distinguishing(tree)
         return coloring, ColoringTrace(rules=["lemma"] * n)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import count
@@ -114,8 +114,10 @@ def canonical_labels(
             listed.append(u)
             stack.extend(children[u])
         order = reversed(listed)
+    label_of = labels.__getitem__
     for u in order:
-        key = (colors[u], tuple(sorted([labels[w] for w in children[u]])))
+        below = children[u]
+        key = (colors[u], tuple(sorted(map(label_of, below))) if below else ())
         labels[u] = table.setdefault(key, len(table))
     if tops is None:
         return labels
@@ -206,13 +208,20 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
     rv = tree.centered
     labels = canonical_labels(rv, coloring.colors)
 
+    # the count is the product, over sibling classes of equal label, of
+    # (class size)!: multiply by each position within a run of the sorted
+    # child labels
     aut = 1
-    for u in range(tree.n):
-        mult: dict[int, int] = {}
-        for w in rv.children[u]:
-            mult[labels[w]] = mult.get(labels[w], 0) + 1
-        for m in mult.values():
-            aut *= math.factorial(m)
+    for below in rv.children:
+        if len(below) > 1:
+            run = sorted(map(labels.__getitem__, below))
+            size = 1
+            for a, b in zip(run, run[1:]):
+                if a == b:
+                    size += 1
+                    aut *= size
+                else:
+                    size = 1
 
     swap = len(rv.roots) == 2 and labels[rv.roots[0]] == labels[rv.roots[1]]
     if swap:
@@ -229,19 +238,18 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
             orbit[r] = next(ids)
     # depth order guarantees parents are labelled first; vertices merge when
     # their parents share an orbit and their labels coincide
+    parent = rv.parent
     groups: dict[tuple[int, int], int] = {}
     for u in rv.order:
         if orbit[u] >= 0:
             continue
-        key = (orbit[rv.parent[u]], labels[u])
+        key = (orbit[parent[u]], labels[u])
         if key not in groups:
             groups[key] = next(ids)
         orbit[u] = groups[key]
 
-    sizes: dict[int, int] = {}
-    for o in orbit:
-        sizes[o] = sizes.get(o, 0) + 1
-    fixed = tuple(sizes[orbit[v]] == 1 for v in range(tree.n))
+    sizes = Counter(orbit)
+    fixed = tuple(sizes[o] == 1 for o in orbit)
     return FixReport(orbit=tuple(orbit), fixed=fixed, aut_count=aut)
 
 
@@ -260,61 +268,62 @@ def enumerate_automorphisms(
         limit = oracle_budget()
     n = tree.n
     cols = coloring.colors
-    order: list[int] = []
+    adjacency = tree.adjacency
+    degree = [len(nbrs) for nbrs in adjacency]
+    order = [0]
     bfs_parent: list[int | None] = [None] * n
     seen = [False] * n
     seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for w in tree.adjacency[u]:
+    for u in order:
+        for w in adjacency[u]:
             if not seen[w]:
                 seen[w] = True
                 bfs_parent[w] = u
-                queue.append(w)
+                order.append(w)
 
+    def preserved(perm: tuple[int, ...]) -> bool:
+        for u in range(n):
+            if cols[perm[u]] != cols[u]:
+                return False
+            image = adjacency[perm[u]]
+            for w in adjacency[u]:
+                if perm[w] not in image:
+                    return False
+        return True
+
+    # depth-first over order: stack[i] iterates the candidate images of
+    # order[i]; a vertex's image is undone before its next candidate is tried
     results: list[tuple[int, ...]] = []
     mapping = [-1] * n
     used = [False] * n
-
-    def extend(i: int) -> None:
-        if i == len(order):
-            perm = tuple(mapping)
-            for u in range(n):
-                if cols[perm[u]] != cols[u]:
-                    return
-                for w in tree.adjacency[u]:
-                    if perm[w] not in tree.adjacency[perm[u]]:
-                        return
+    stack = [iter(range(n))]
+    while stack:
+        i = len(stack) - 1
+        v = order[i]
+        if mapping[v] >= 0:
+            used[mapping[v]] = False
+            mapping[v] = -1
+        dv, cv, around = degree[v], cols[v], adjacency[v]
+        for w in stack[i]:
+            if used[w] or degree[w] != dv or cols[w] != cv:
+                continue
+            image = adjacency[w]
+            for x in around:
+                if mapping[x] >= 0 and mapping[x] not in image:
+                    break
+            else:
+                break
+        else:
+            stack.pop()
+            continue
+        mapping[v] = w
+        used[w] = True
+        if i + 1 < n:
+            stack.append(iter(adjacency[mapping[bfs_parent[order[i + 1]]]]))
+        elif preserved(perm := tuple(mapping)):
             results.append(perm)
             if len(results) > limit:
                 raise LimitExceeded(f"more than {limit} automorphisms")
-            return
-        v = order[i]
-        p = bfs_parent[v]
-        if p is None:
-            candidates = range(n)
-        else:
-            candidates = tree.adjacency[mapping[p]]
-        dv, cv = tree.degree(v), cols[v]
-        for w in candidates:
-            if used[w] or tree.degree(w) != dv or cols[w] != cv:
-                continue
-            ok = True
-            for x in tree.adjacency[v]:
-                if mapping[x] >= 0 and mapping[x] not in tree.adjacency[w]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            extend(i + 1)
-            mapping[v] = -1
-            used[w] = False
-
-    extend(0)
     return sorted(results)
 
 

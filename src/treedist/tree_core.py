@@ -16,10 +16,10 @@ that fall exactly on powers of the base are classified correctly.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 from .errors import (
     BadFormat,
@@ -133,12 +133,10 @@ def tree_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Tree:
     Vertex ids must be exactly 0..n-1; n defaults to max id + 1 (or the
     explicit argument, required for the single-vertex tree).
     """
-    ids = set()
-    for u, v in edges:
-        if u < 0 or v < 0:
-            raise NonContiguousIds(f"negative vertex id in edge ({u}, {v})")
-        ids.add(u)
-        ids.add(v)
+    ids = set(chain.from_iterable(edges))
+    if ids and min(ids) < 0:
+        u, v = next((u, v) for u, v in edges if u < 0 or v < 0)
+        raise NonContiguousIds(f"negative vertex id in edge ({u}, {v})")
     max_id = max(ids, default=-1)
     if ids and len(ids) != max_id + 1:
         missing = sorted(set(range(max_id + 1)) - ids)
@@ -153,33 +151,36 @@ def tree_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Tree:
         raise NotATree(f"{len(edges)} edges for {n} vertices; a tree needs {n - 1}")
 
     adj: list[list[int]] = [[] for _ in range(n)]
-    seen = set()
     for u, v in edges:
-        if u == v:
-            raise NotATree(f"self-loop at {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise NotATree(f"duplicate edge {key}")
-        seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
 
     # edge count is n-1, so connectivity from 0 implies tree and id coverage
     reached = [False] * n
     reached[0] = True
-    queue = deque([0])
+    stack = [0]
     count = 1
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
+    while stack:
+        for w in adj[stack.pop()]:
             if not reached[w]:
                 reached[w] = True
                 count += 1
-                queue.append(w)
+                stack.append(w)
     if count != n:
+        # n-1 edges with a self-loop or a repeated edge cannot connect n
+        # vertices, so these are looked for only here; the first in edge
+        # order is reported, self-loop before repeat
+        seen = set()
+        for u, v in edges:
+            if u == v:
+                raise NotATree(f"self-loop at {u}")
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                raise NotATree(f"duplicate edge {key}")
+            seen.add(key)
         raise NotATree(f"disconnected: {count} of {n} vertices reachable from 0")
 
-    return Tree(n=n, adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj))
+    return Tree(n=n, adjacency=tuple(map(tuple, map(sorted, adj))))
 
 
 def parse_edge_list(text: str) -> Tree:
@@ -192,10 +193,11 @@ def parse_edge_list(text: str) -> Tree:
     edges: list[tuple[int, int]] = []
     declared_n: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        if line.startswith("#"):
+        if parts[0][0] == "#":
+            line = raw.strip()
             body = line[1:].strip()
             if body.startswith("n="):
                 try:
@@ -203,15 +205,14 @@ def parse_edge_list(text: str) -> Tree:
                 except ValueError:
                     raise BadFormat(f"line {lineno}: vertex count is not an integer in {line!r}") from None
             continue
-        parts = line.split()
         if len(parts) != 2:
-            raise BadFormat(f"line {lineno}: expected 'u v', got {line!r}")
+            raise BadFormat(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise BadFormat(f"line {lineno}: non-integer token in {line!r}") from None
+            raise BadFormat(f"line {lineno}: non-integer token in {raw.strip()!r}") from None
         if u < 0 or v < 0:
-            raise BadFormat(f"line {lineno}: negative vertex id in {line!r}")
+            raise BadFormat(f"line {lineno}: negative vertex id in {raw.strip()!r}")
         edges.append((u, v))
     return tree_from_edges(edges, n=declared_n)
 
@@ -269,33 +270,32 @@ class RootedView:
         self.tree = tree
         self.roots = tuple(sorted(roots))
         n = tree.n
-        root_set = set(self.roots)
+        adjacency = tree.adjacency
         parent: list[int | None] = [None] * n
         depth = [-1] * n
         children: list[list[int]] = [[] for _ in range(n)]
-        order: list[int] = []
-        queue = deque(self.roots)
         for r in self.roots:
             depth[r] = 0
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in tree.adjacency[u]:
-                if depth[w] >= 0:
-                    continue
-                if u in root_set and w in root_set:
-                    continue
-                depth[w] = depth[u] + 1
-                parent[w] = u
-                children[u].append(w)
-                queue.append(w)
+        # breadth-first: order doubles as the queue; both ends of a central
+        # edge start at depth 0, so the edge between them is never followed
+        order = list(self.roots)
+        for u in order:
+            below = depth[u] + 1
+            kids = children[u]
+            for w in adjacency[u]:
+                if depth[w] < 0:
+                    depth[w] = below
+                    parent[w] = u
+                    kids.append(w)
+                    order.append(w)
         heights = [0] * n
         for u in reversed(order):
-            if children[u]:
-                heights[u] = 1 + max(heights[w] for w in children[u])
+            p = parent[u]
+            if p is not None and heights[p] <= heights[u]:
+                heights[p] = heights[u] + 1
         self.parent = tuple(parent)
         self.depth = tuple(depth)
-        self.children = tuple(tuple(c) for c in children)
+        self.children = tuple(map(tuple, children))
         self.order = tuple(order)
         self.heights = tuple(heights)
 

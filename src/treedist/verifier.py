@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .coloring import color_near_distinguishing, color_tree, fix_radius
@@ -255,6 +254,9 @@ def run_random_campaign(
     start = time.perf_counter()
     work = [(seed, i, n_max, k_max) for i in range(trials)]
     if jobs > 1:
+        # imported here: the pool costs every other run its import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_campaign_trial, work, chunksize=max(1, trials // (4 * jobs))))
     else:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 import json
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -103,6 +105,17 @@ class TestColor:
         code, _, err = run(capsys, "color", "--colors", "2", str(bad))
         assert code == 2
         assert "error" in err
+
+    def test_root_override_at_k_minus_1_exit2(self, capsys):
+        # c = k-1 uses the center-rooted near-distinguishing coloring, so a
+        # root override there is refused rather than ignored
+        tree = str(FIXDIR / "hub10_tails2.tree")
+        code, out, err = run(capsys, "color", "-c", "9", "--root", "5", tree)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "root override" in err
+        assert run(capsys, "color", "-c", "9", tree)[0] == 0
+        assert run(capsys, "color", "-c", "3", "--root", "5", tree)[0] == 0
 
     def test_spine_algorithm(self, capsys):
         code, out, _ = run(capsys, "color", "-a", "spine", str(FIXDIR / "path5.tree"))
@@ -247,6 +260,26 @@ class TestCampaign:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_jobs2_prints_jobs1_payload(self, capsys):
+        args = ["campaign", "--trials", "16", "--n-max", "14", "--k-max", "5", "--seed", "11"]
+        code1, out1, _ = run(capsys, *args, "--jobs", "1")
+        code2, out2, _ = run(capsys, *args, "--jobs", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+
+def test_cli_import_loads_no_process_pool():
+    # the process pool is imported only by campaign --jobs > 1, so every
+    # other run skips its import cost
+    probe = (
+        "import sys, treedist.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
 
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n"))
@@ -276,13 +309,14 @@ def test_tree_file_not_utf8_exit2(capsys, tmp_path, argv):
 @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
 def test_stdin_not_utf8_exit2(capsys, monkeypatch, errors):
     # the interpreter decodes stdin strictly under a UTF-8 locale and with
-    # surrogateescape under C/POSIX; both end in exit 2
+    # surrogateescape under C/POSIX; read_tree decodes the raw bytes itself,
+    # so both say the input is not UTF-8
     stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors=errors)
     monkeypatch.setattr("sys.stdin", stdin)
     code, out, err = run(capsys, "color", "--colors", "2", "-")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and "not UTF-8" in err
     assert "Traceback" not in err
 
 

@@ -255,13 +255,16 @@ class TestColorTreeMain:
     def test_root_override_leaves_centered_view(self, name):
         # a root override builds its own view; the shared center-rooted view
         # stays unbuilt, then rooted at the center, and fix_report agrees with
-        # a tree that never saw the override
+        # a tree that never saw the override.  c = k-1 refuses the override.
         k = max_valence(helpers.load_fixture(name))
         for c in range(2, k + 1):
             t = helpers.load_fixture(name)
+            if c == k - 1:
+                with pytest.raises(BadParams, match="no root override"):
+                    color_tree(t, c, root=t.n - 1)
+                continue
             coloring, _ = color_tree(t, c, root=t.n - 1)
-            if c != k - 1:  # c = k-1 ignores the root
-                assert "centered" not in vars(t)
+            assert "centered" not in vars(t)
             assert t.centered.roots == center(t).vertices
             assert fix_report(t, coloring) == fix_report(helpers.load_fixture(name), coloring)
 

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -142,7 +144,33 @@ class TestCanonicalLabels:
         assert labels[1] == labels[3] != labels[2]
 
 
+@st.composite
+def totally_colored_trees(draw):
+    """A random tree and a random total coloring with up to 3 colors."""
+    t = random_tree(draw(st.integers(1, 40)), draw(st.integers(2, 6)), draw(st.integers(0, 10**6)))
+    c = draw(st.integers(1, 3))
+    colors = draw(st.lists(st.integers(0, c - 1), min_size=t.n, max_size=t.n))
+    return t, Coloring(c, tuple(colors))
+
+
 class TestFixReport:
+    @settings(max_examples=150, deadline=None)
+    @given(case=totally_colored_trees())
+    def test_aut_count_is_product_of_factorials(self, case):
+        # siblings with equal colored labels permute freely: the group order
+        # is the product of (multiplicity)! over every vertex's child labels,
+        # doubled when the two halves of an edge center match
+        t, coloring = case
+        rv = root_at(t, center(t))
+        labels = canonical_labels(rv, coloring.colors)
+        expected = 1
+        for below in rv.children:
+            for m in Counter(labels[w] for w in below).values():
+                expected *= math.factorial(m)
+        if len(rv.roots) == 2 and labels[rv.roots[0]] == labels[rv.roots[1]]:
+            expected *= 2
+        assert fix_report(t, coloring).aut_count == expected
+
     def test_star_monochromatic(self):
         t = helpers.star_tree(3)
         rep = fix_report(t, mono(4))
@@ -224,6 +252,15 @@ class TestEnumerateAutomorphisms:
         monkeypatch.setenv("TREEDIST_BUDGET", "abc")
         with pytest.raises(BadParams):
             enumerate_automorphisms(helpers.star_tree(2), mono(3))
+
+    def test_long_path_is_not_recursive(self):
+        # one search level per vertex: a recursive search overflows the stack
+        t = helpers.path_tree(1500)
+        autos = enumerate_automorphisms(t, mono(1500))
+        assert autos == [tuple(range(1500)), tuple(range(1499, -1, -1))]
+
+    def test_single_vertex(self):
+        assert enumerate_automorphisms(tree_from_edges([], n=1), mono(1)) == [(0,)]
 
     def test_permutations_verified(self):
         rng = random.Random(17)

@@ -9,6 +9,7 @@ from treedist import (
     CenterKind,
     FixRadius,
     RadiusKind,
+    RootedView,
     center,
     fix_radius,
     format_edge_list,
@@ -199,6 +200,124 @@ class TestCentered:
         assert t == twin and hash(t) == hash(twin)
         assert repr(t) == before
         assert "centered" not in repr(t)
+
+
+def _outcome(build, *args):
+    """A built tree, or the type and message of the error raised instead."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+MUTATIONS = ("self_loop", "duplicate", "reversed_duplicate", "drop", "negative", "over_count", "extra")
+
+
+@st.composite
+def edge_lists(draw):
+    """A random tree's edges, shuffled and flipped, then possibly broken:
+    self-loops, repeated edges, missing, negative or too large ids, too few
+    or too many edges; with no, the right or a wrong vertex count."""
+    n = draw(st.integers(1, 14))
+    t = random_tree(n, draw(st.integers(2, 5)), draw(st.integers(0, 10**6)))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in t.edges()]
+    rnd.shuffle(edges)
+    for op in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        i = rnd.randrange(len(edges)) if edges else None
+        if op == "self_loop" and edges:
+            x = rnd.randrange(n)
+            edges[i] = (x, x)
+        elif op == "duplicate" and edges:
+            edges.insert(rnd.randrange(len(edges) + 1), edges[i])
+            edges.pop(rnd.randrange(len(edges)))
+        elif op == "reversed_duplicate" and edges:
+            u, v = edges[i]
+            edges.insert(rnd.randrange(len(edges) + 1), (v, u))
+        elif op == "drop" and edges:
+            edges.pop(i)
+        elif op == "negative":
+            edges.append((rnd.randrange(-2, n), -rnd.randint(1, 2)))
+        elif op == "over_count" and edges:
+            edges[i] = (edges[i][0], n + rnd.randrange(3))
+        elif op == "extra":
+            edges.append((rnd.randrange(n), rnd.randrange(n + 1)))
+    declared = draw(st.sampled_from([None, None, n, n, n + 1, n - 1, 0]))
+    return edges, declared
+
+
+TOKENS = ("0", "1", "2", "3", "7", "-1", "x", "+2", "1_0", "#", "# n=3", "# n=x", "#n=2", "# n=", "# note")
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text: a tree's lines with stray tokens, blank and comment
+    lines, `# n=` headers (some malformed) and mixed line endings."""
+    edges, _ = draw(edge_lists())
+    gaps = st.sampled_from([" ", "  ", "\t"])
+    lines = [str(u) + draw(gaps) + str(v) for u, v in edges]
+    for _ in range(draw(st.integers(0, 3))):
+        words = draw(st.lists(st.sampled_from(TOKENS), max_size=3))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines.insert(draw(st.integers(0, len(lines))), pad + " ".join(words) + pad)
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestAgainstReference:
+    """The tuned parser, validator and rooting match their straightforward
+    reference versions (tests/helpers.py): the same Tree and view fields, or
+    the same error type and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=edge_lists())
+    def test_tree_from_edges(self, case):
+        edges, declared = case
+        expected = _outcome(helpers.reference_tree_from_edges, list(edges), declared)
+        assert _outcome(tree_from_edges, list(edges), declared) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=edge_list_texts())
+    def test_parse_edge_list(self, text):
+        assert _outcome(parse_edge_list, text) == _outcome(helpers.reference_parse_edge_list, text)
+
+    @pytest.mark.parametrize(
+        "edges, n, message",
+        [
+            ([(0, 1), (1, 1), (2, 3)], None, "self-loop at 1"),
+            ([(0, 1), (1, 0), (2, 2), (2, 3)], 5, "duplicate edge (0, 1)"),
+            ([(0, 1), (2, 2), (1, 0)], 4, "self-loop at 2"),
+            ([(0, 1), (2, 3), (3, 2)], None, "duplicate edge (2, 3)"),
+            ([(0, 1), (2, 3), (3, 4), (2, 4)], None, "disconnected: 2 of 5 vertices reachable from 0"),
+        ],
+    )
+    def test_first_error_in_edge_order(self, edges, n, message):
+        # self-loops and repeats are reported as the first of them in edge
+        # order, self-loop before repeat, even though they are looked for
+        # only once the graph is found disconnected
+        with pytest.raises(NotATree) as exc:
+            tree_from_edges(edges, n)
+        assert str(exc.value) == message
+        assert _outcome(helpers.reference_tree_from_edges, edges, n) == (NotATree, message)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        k=st.integers(2, 6),
+        seed=st.integers(0, 10**6),
+        pick=st.integers(0, 10**6),
+        kind=st.sampled_from(["center", "vertex", "edge"]),
+    )
+    def test_rooted_view_fields(self, n, k, seed, pick, kind):
+        t = random_tree(n, k, seed)
+        if kind == "center":
+            roots = center(t).vertices
+        elif kind == "vertex" or n == 1:
+            roots = (pick % n,)
+        else:
+            u, v = t.edges()[pick % (n - 1)]
+            roots = (v, u)
+        rv = RootedView(t, roots)
+        assert {name: getattr(rv, name) for name in VIEW_FIELDS} == helpers.reference_view_fields(t, roots)
 
 
 class TestSubtree:
