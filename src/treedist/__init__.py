@@ -2,7 +2,7 @@
 
 The library colors a tree with c colors so that every color-preserving
 automorphism fixes all vertices whose subtree reaches a leaf at distance at
-least an exact threshold fix_radius(c, k), and ships an independent
+least the integer threshold fix_radius(c, k), and ships an independent
 automorphism-enumeration oracle to verify the guarantee and compute exact
 distinguishing numbers at desk scale.
 """
@@ -11,7 +11,6 @@ from .coloring import (
     ColoringTrace,
     MainLine,
     balanced_colors,
-    ceil_fix_radius,
     color_anchored,
     color_near_distinguishing,
     color_regular,
@@ -20,7 +19,6 @@ from .coloring import (
     fix_radius,
     longest_spine,
     lsb_digits,
-    radius_bound,
 )
 from .errors import TreedistError
 from .symmetry import (
@@ -39,8 +37,6 @@ from .symmetry import (
 from .tree_core import (
     CenterKind,
     CenterLocus,
-    FixRadius,
-    RadiusKind,
     RootedView,
     Tree,
     center,
@@ -52,11 +48,8 @@ from .tree_core import (
     tree_from_edges,
 )
 from .verifier import (
-    RADIUS_TABLE,
     CampaignReport,
     Failure,
-    paired_class_minimax,
-    reference_radius_table_check,
     run_random_campaign,
     verify_fixing_guarantee,
     verify_near_distinguishing,

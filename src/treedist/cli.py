@@ -13,12 +13,12 @@ import json
 import sys
 
 from .coloring import (
-    ceil_fix_radius,
     color_anchored,
     color_near_distinguishing,
     color_regular,
     color_spine,
     color_tree,
+    fix_radius,
     longest_spine,
     ColoringTrace,
 )
@@ -69,13 +69,13 @@ def render_dot(tree: Tree, coloring: Coloring | None = None, trace: ColoringTrac
 
 
 def render_radius_table(c_max: int = 7, k_max: int = 16) -> str:
-    """Aligned grid of ceil_fix_radius values, '-' where c > k."""
+    """Aligned grid of fix_radius values, '-' where c > k."""
     ks = list(range(2, k_max + 1))
     lines = ["c\\k" + "".join(f"{k:>3}" for k in ks)]
     for c in range(2, c_max + 1):
         cells = []
         for k in ks:
-            cells.append("-" if c > k else str(ceil_fix_radius(c, k)))
+            cells.append("-" if c > k else str(fix_radius(c, k)))
         lines.append(f"{c:<3}" + "".join(f"{cell:>3}" for cell in cells))
     return "\n".join(lines) + "\n"
 
@@ -102,7 +102,13 @@ def cmd_color(args: argparse.Namespace) -> int:
     elif args.algorithm == "regular":
         coloring = color_regular(tree)
     elif args.algorithm == "spine":
-        spine = [int(x) for x in args.spine.split(",")] if args.spine else longest_spine(tree)
+        if args.spine:
+            try:
+                spine = [int(x) for x in args.spine.split(",")]
+            except ValueError:
+                raise BadFormat(f"--spine must be comma-separated vertex ids, got {args.spine!r}") from None
+        else:
+            spine = longest_spine(tree)
         coloring = color_spine(tree, spine)
     else:  # anchored
         if args.anchor is None:
@@ -120,7 +126,7 @@ def cmd_color(args: argparse.Namespace) -> int:
 
     report = fix_report(tree, coloring)
     c = coloring.num_colors
-    r_ceil = str(ceil_fix_radius(c, k)) if c >= 2 else "-"
+    r_ceil = str(fix_radius(c, k)) if c >= 2 else "-"
     fixed = sum(report.fixed)
     print(f"n={tree.n} k={k} c={c} r_ceil={r_ceil} fixed={fixed}/{tree.n}")
     return 0

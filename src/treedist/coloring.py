@@ -5,9 +5,9 @@ valence k it produces a coloring under which every color-preserving
 automorphism fixes all vertices u whose subtree contains a leaf at distance
 at least fix_radius(c, k) from u.  Sibling groups that would otherwise be
 interchangeable are separated by "main lines": along a deepest descent from
-each group member, the next ceil(radius) vertices receive the digits of the
-member's group index written least-significant-first in base c, so distinct
-members read distinct digit strings.
+each group member, the next fix_radius(c, k) vertices receive the digits of
+the member's group index written least-significant-first in base c, so
+distinct members read distinct digit strings.
 
 All functions here are pure and deterministic: ties are broken by ascending
 vertex id everywhere, so repeated runs are byte-identical.
@@ -20,24 +20,19 @@ from dataclasses import dataclass, field
 
 from .errors import BadParams, BadSpine, IndexOverflow, NotRegularProfile
 from .symmetry import UNCOLORED, Coloring, canonical_labels, structural_codes
-from .tree_core import (
-    CenterLocus,
-    FixRadius,
-    RadiusKind,
-    RootedView,
-    Tree,
-    max_valence,
-    root_at,
-)
+from .tree_core import CenterLocus, RootedView, Tree, max_valence, root_at
 
 
-def fix_radius(num_colors: int, max_degree: int) -> FixRadius:
-    """Exact leaf-distance threshold for fixing vertices with the given palette.
+def fix_radius(num_colors: int, max_degree: int) -> int:
+    """Least subtree height at which color_tree fixes a vertex, with
+    num_colors colors on a tree of max valence max_degree.
 
     Zero when the tree is a path or there are at least max_degree colors;
     one when exactly max_degree - 1 colors are available; otherwise the
-    log-form threshold log_c(max{3, ceil((k-2)/(c-1))}), with argument k-2
-    and an extra +1 offset in the two-color case.
+    least integer at or above log_c(max{3, ceil((k-2)/(c-1))}), plus one in
+    the two-color case.  Every use compares the threshold with an integer
+    height, so this smallest admitted integer decides exactly what the log
+    form decides; it is found by exact integer powers, without floats.
     """
     c, k = num_colors, max_degree
     if c < 2:
@@ -45,43 +40,16 @@ def fix_radius(num_colors: int, max_degree: int) -> FixRadius:
     if k < 0:
         raise BadParams("max_degree must be >= 0")
     if k <= 2 or c >= k:
-        return FixRadius(RadiusKind.ZERO)
-    if c == k - 1:
-        return FixRadius(RadiusKind.ONE)
-    if c == 2:
-        return FixRadius(RadiusKind.LOG, base=2, argument=max(3, k - 2), offset=1)
-    argument = max(3, -((k - 2) // -(c - 1)))
-    return FixRadius(RadiusKind.LOG, base=c, argument=argument, offset=0)
-
-
-def ceil_fix_radius(num_colors: int, max_degree: int) -> int:
-    """Smallest integer distance admitted by fix_radius(num_colors, max_degree)."""
-    return fix_radius(num_colors, max_degree).ceil()
-
-
-def radius_bound(num_colors: int, max_degree: int) -> int:
-    """Smallest integer r with k <= 2**(r-1) (c = 2) or k <= c**r * (c-1) + 2
-    (c > 2); 0 when c = k and 1 when c = k - 1.
-
-    This is the coarser closed-form bound; it dominates ceil_fix_radius
-    everywhere both are defined.
-    """
-    c, k = num_colors, max_degree
-    if c < 2 or c > k:
-        raise BadParams(f"need 2 <= colors <= max_degree, got ({c}, {k})")
-    if c == k:
         return 0
     if c == k - 1:
         return 1
-    if c == 2:
-        r = 1
-        while k > 2 ** (r - 1):
-            r += 1
-        return r
-    r = 0
-    while k > c**r * (c - 1) + 2:
-        r += 1
-    return r
+    argument = max(3, -((k - 2) // -(c - 1)))
+    radius = 1 if c == 2 else 0
+    power = 1
+    while power < argument:
+        power *= c
+        radius += 1
+    return radius
 
 
 def balanced_colors(count: int, palette: list[int], pairs_required: bool = False) -> list[int]:
@@ -221,7 +189,7 @@ def color_tree(
     # 2 <= c <= k-2, hence k >= 4 and a log-form radius
     rv = tree.centered if root is None else root_at(tree, root)
     radius = fix_radius(c, k)
-    seq_len = radius.ceil()
+    heights = rv.heights
     colors = [UNCOLORED] * n
     trace = ColoringTrace(rules=[""] * n)
     rules = trace.rules
@@ -234,9 +202,6 @@ def color_tree(
     for r in rv.roots:
         rules[r] = "root"
 
-    def admits(u: int) -> bool:
-        return radius.admits(rv.heights[u])
-
     shape: list[int] | None = None  # structural labels, computed on first need
 
     def twins(siblings: list[int]) -> list[list[int]]:
@@ -245,7 +210,7 @@ def color_tree(
         share their own color and their uncolored shape, so only classes of
         that pair with two or more members are labelled by colored subtree."""
         nonlocal shape
-        admitted = [x for x in sorted(siblings) if admits(x)]
+        admitted = [x for x in sorted(siblings) if heights[x] >= radius]
         if len(admitted) < 2:
             return []
         if shape is None:
@@ -299,8 +264,8 @@ def color_tree(
                 event: list[MainLine] = []
                 for idx, v in enumerate(group):
                     path = _longest_descent(rv, v)
-                    seq = lsb_digits(idx, seq_len, c)
-                    assert len(path) > seq_len, "distance condition guarantees room"
+                    seq = lsb_digits(idx, radius, c)
+                    assert len(path) > radius, "distance condition guarantees room"
                     for pos, col in enumerate(seq):
                         w = path[pos + 1]
                         assert colors[w] == UNCOLORED
@@ -309,7 +274,7 @@ def color_tree(
                     event.append(
                         MainLine(
                             anchor=v,
-                            vertices=tuple(path[: seq_len + 1]),
+                            vertices=tuple(path[: radius + 1]),
                             sequence=tuple(seq),
                             index=idx,
                         )
@@ -322,12 +287,12 @@ def color_tree(
     for u in rv.order:
         if colors[u] != UNCOLORED:
             continue
-        if not admits(u):
+        if heights[u] < radius:
             colors[u] = 0
             rules[u] = "step2_default"
             continue
         parent = rv.parent[u]
-        group = [x for x in rv.children[parent] if colors[x] == UNCOLORED and admits(x)]
+        group = [x for x in rv.children[parent] if colors[x] == UNCOLORED and heights[x] >= radius]
         for x, col in zip(group, balanced_colors(len(group), list(range(c)))):
             colors[x] = col
             rules[x] = "step3_optimal"
@@ -388,10 +353,7 @@ def _color_all_distinct(
         colors[rv.roots[1]] = 0
     for r in rv.roots:
         rules[r] = "root"
-    for u in rv.order:
-        for i, w in enumerate(rv.children[u]):
-            assert i < num_colors
-            colors[w] = i
+        _extend_sibling_distinct(rv, r, colors, num_colors)
     return Coloring(num_colors, tuple(colors)), ColoringTrace(rules=rules)
 
 

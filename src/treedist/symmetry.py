@@ -209,9 +209,10 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
     labels = canonical_labels(rv, coloring.colors)
 
     # the count is the product, over sibling classes of equal label, of
-    # (class size)!: multiply by each position within a run of the sorted
-    # child labels
-    aut = 1
+    # (class size)!: each position within a run of the sorted child labels
+    # is one factor; factors are tallied and multiplied once at the end, so
+    # no big integer is regrown per class
+    factors: Counter[int] = Counter()
     for below in rv.children:
         if len(below) > 1:
             run = sorted(map(labels.__getitem__, below))
@@ -219,13 +220,14 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
             for a, b in zip(run, run[1:]):
                 if a == b:
                     size += 1
-                    aut *= size
+                    factors[size] += 1
                 else:
                     size = 1
 
     swap = len(rv.roots) == 2 and labels[rv.roots[0]] == labels[rv.roots[1]]
     if swap:
-        aut *= 2
+        factors[2] += 1
+    aut = math.prod(f**e for f, e in factors.items())
 
     orbit = [-1] * tree.n
     ids = count()

@@ -7,10 +7,8 @@ likewise immutable, so both types are safe to share across threads.  Every
 Tree carries its center-rooted view, Tree.centered, built on first use and
 then shared by all callers; the view is a deterministic function of the
 tree, so building it twice yields equal views and sharing stays safe.
-
-Distance thresholds are kept in exact form (FixRadius) and compared with
-integer exponentiation only; no floats are involved anywhere, so boundaries
-that fall exactly on powers of the base are classified correctly.
+RootedView.heights holds each vertex's subtree height, the integer that
+callers compare with the fixing threshold coloring.fix_radius.
 """
 
 from __future__ import annotations
@@ -39,12 +37,6 @@ class Tree:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def is_leaf(self, v: int) -> bool:
-        return len(self.adjacency[v]) == 1
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
@@ -77,54 +69,6 @@ class CenterLocus:
 
     kind: CenterKind
     vertices: tuple[int, ...]
-
-
-class RadiusKind(Enum):
-    ZERO = "zero"
-    ONE = "one"
-    LOG = "log"
-
-
-@dataclass(frozen=True)
-class FixRadius:
-    """Exact leaf-distance threshold: 0, 1, or log_base(argument) + offset.
-
-    The LOG case stores the base, the integer argument of the logarithm and
-    an additive offset (1 only when base == 2), so the threshold is held
-    exactly rather than as a float.
-    """
-
-    kind: RadiusKind
-    base: int = 0
-    argument: int = 0
-    offset: int = 0
-
-    def admits(self, depth: int) -> bool:
-        """True iff an integer distance `depth` meets the threshold.
-
-        LOG case: depth >= log_base(argument) + offset, decided as
-        base**(depth - offset) >= argument in exact integer arithmetic.
-        """
-        if self.kind is RadiusKind.ZERO:
-            return True
-        if self.kind is RadiusKind.ONE:
-            return depth >= 1
-        if depth < self.offset:
-            return False
-        return self.base ** (depth - self.offset) >= self.argument
-
-    def ceil(self) -> int:
-        """Smallest integer distance admitted by the threshold."""
-        if self.kind is RadiusKind.ZERO:
-            return 0
-        if self.kind is RadiusKind.ONE:
-            return 1
-        e = 0
-        power = 1
-        while power < self.argument:
-            power *= self.base
-            e += 1
-        return e + self.offset
 
 
 def tree_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Tree:

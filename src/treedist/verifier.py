@@ -9,30 +9,18 @@ sorted by seed).
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
 
 from .coloring import color_near_distinguishing, color_tree, fix_radius
-from .errors import BadParams, InfeasibleParams, OracleBudgetExceeded
+from .errors import BadParams, OracleBudgetExceeded
 from .symmetry import Coloring, fix_report
 from .tree_core import Tree, max_valence, random_tree
 
 #: Verification ops refuse trees beyond this size (desk-scale oracle budget).
 MAX_ORACLE_N = 64
-
-#: Reference grid of ceil_fix_radius values, rows by color count c = 2..7,
-#: columns by max valence k = 2..16; None where c > k.  Transcribed once and
-#: cross-checked against the formula by reference_radius_table_check.
-RADIUS_TABLE: dict[int, tuple[int | None, ...]] = {
-    2: (0, 1, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5),
-    3: (None, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2),
-    4: (None, None, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2),
-    5: (None, None, None, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
-    6: (None, None, None, None, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
-    7: (None, None, None, None, None, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1),
-}
-RADIUS_TABLE_K = range(2, 17)
 
 
 @dataclass(frozen=True)
@@ -106,7 +94,7 @@ def verify_fixing_guarantee(
     report = fix_report(tree, coloring)
     heights = tree.centered.heights
     radius = fix_radius(num_colors, k)
-    witnesses = [u for u in range(tree.n) if radius.admits(heights[u]) and not report.fixed[u]]
+    witnesses = [u for u in range(tree.n) if heights[u] >= radius and not report.fixed[u]]
     failures = []
     if witnesses:
         failures.append(
@@ -160,61 +148,6 @@ def verify_near_distinguishing(
     return CampaignReport(trials=1, failures=failures, elapsed=time.perf_counter() - start)
 
 
-def paired_class_minimax(slots: int, colors: int) -> int:
-    """Exhaustive minimum, over all colorings of `slots` sibling slots with at
-    most `colors` colors in which every used color appears at least twice, of
-    the largest color class.
-
-    Enumerates all partitions of `slots` into at most `colors` parts of size
-    >= 2 (color identities are interchangeable, so partitions cover every
-    coloring) and takes the smallest maximum part.
-    """
-    if slots < 2:
-        raise InfeasibleParams("need at least 2 slots for the pair constraint")
-    if colors < 1:
-        raise InfeasibleParams("need at least 1 color")
-    best: int | None = None
-
-    def descend(remaining: int, cap: int, used: int, largest: int) -> None:
-        nonlocal best
-        if remaining == 0:
-            best = largest if best is None else min(best, largest)
-            return
-        if used == colors or remaining < 2:
-            return
-        for part in range(min(cap, remaining), 1, -1):
-            descend(remaining - part, part, used + 1, max(largest, part))
-
-    descend(slots, slots, 0, 0)
-    assert best is not None
-    return best
-
-
-def reference_radius_table_check() -> CampaignReport:
-    """Compare ceil_fix_radius against every defined entry of RADIUS_TABLE."""
-    start = time.perf_counter()
-    trials = 0
-    failures = []
-    for c, row in RADIUS_TABLE.items():
-        for k, expected in zip(RADIUS_TABLE_K, row):
-            if expected is None:
-                continue
-            trials += 1
-            actual = fix_radius(c, k).ceil()
-            if actual != expected:
-                failures.append(
-                    Failure(
-                        seed=None,
-                        n=0,
-                        k=k,
-                        c=c,
-                        prop="radius_table",
-                        witness={"expected": expected, "actual": actual},
-                    )
-                )
-    return CampaignReport(trials=trials, failures=failures, elapsed=time.perf_counter() - start)
-
-
 def _campaign_trial(args: tuple[int, int, int, int]) -> tuple[int, list[Failure]]:
     seed, index, n_max, k_max = args
     trial_seed = seed * 1_000_003 + index
@@ -253,12 +186,14 @@ def run_random_campaign(
         raise OracleBudgetExceeded(f"n_max={n_max} exceeds oracle budget {MAX_ORACLE_N}")
     start = time.perf_counter()
     work = [(seed, i, n_max, k_max) for i in range(trials)]
-    if jobs > 1:
+    # more workers than trials or cores only costs process start-ups
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the pool costs every other run its import time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_campaign_trial, work, chunksize=max(1, trials // (4 * jobs))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_campaign_trial, work, chunksize=max(1, trials // (4 * workers))))
     else:
         results = [_campaign_trial(w) for w in work]
     skipped = sum(s for s, _ in results)

@@ -6,16 +6,31 @@ and prufer_tree enumerates labeled trees directly, so library results are
 checked against genuinely separate computations.  The reference_* functions
 are the straightforward versions of the parser, validator and rooting that the
 library's tuned versions must match exactly, errors included.
+
+reference_radius keeps the fixing threshold in its exact log form (a kind,
+plus base, argument and offset), which the library's integer fix_radius must
+decide identically.  RADIUS_TABLE, radius_bound and paired_class_minimax are
+further reference values and bounds that only the tests consult.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
+from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 
-from treedist import Coloring, Tree, parse_edge_list, tree_from_edges
-from treedist.errors import BadFormat, NonContiguousIds, NotATree
+from treedist import (
+    CampaignReport,
+    Coloring,
+    Failure,
+    Tree,
+    fix_radius,
+    parse_edge_list,
+    tree_from_edges,
+)
+from treedist.errors import BadFormat, BadParams, InfeasibleParams, NonContiguousIds, NotATree
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -30,6 +45,17 @@ def path_tree(n: int) -> Tree:
 
 def star_tree(leaves: int) -> Tree:
     return tree_from_edges([(0, i) for i in range(1, leaves + 1)], n=leaves + 1)
+
+
+def caterpillar_tree(spine: int, legs: int) -> Tree:
+    """A path of `spine` vertices, each carrying `legs` pendant leaves."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    nxt = spine
+    for s in range(spine):
+        for _ in range(legs):
+            edges.append((s, nxt))
+            nxt += 1
+    return tree_from_edges(edges, n=nxt)
 
 
 def complete_tree(k: int, depth: int) -> Tree:
@@ -229,3 +255,147 @@ def reference_view_fields(tree: Tree, roots: tuple[int, ...]) -> dict:
         "order": tuple(order),
         "heights": tuple(heights),
     }
+
+
+@dataclass(frozen=True)
+class ReferenceRadius:
+    """Exact leaf-distance threshold: 0, 1, or log_base(argument) + offset.
+
+    kind is "zero", "one" or "log".  The log case stores the base, the
+    integer argument of the logarithm and an additive offset (1 only when
+    base == 2), so the threshold is held exactly rather than as a float.
+    """
+
+    kind: str
+    base: int = 0
+    argument: int = 0
+    offset: int = 0
+
+    def admits(self, depth: int) -> bool:
+        """True iff an integer distance `depth` meets the threshold; the log
+        case is decided as base**(depth - offset) >= argument."""
+        if self.kind == "zero":
+            return True
+        if self.kind == "one":
+            return depth >= 1
+        if depth < self.offset:
+            return False
+        return self.base ** (depth - self.offset) >= self.argument
+
+
+def reference_radius(num_colors: int, max_degree: int) -> ReferenceRadius:
+    """The threshold behind fix_radius(num_colors, max_degree), in exact form:
+    zero for paths or at least max_degree colors, one with max_degree - 1
+    colors, else log_c(max{3, ceil((k-2)/(c-1))}), with argument k-2 and an
+    extra +1 offset in the two-color case."""
+    c, k = num_colors, max_degree
+    if c < 2:
+        raise BadParams("need at least 2 colors")
+    if k < 0:
+        raise BadParams("max_degree must be >= 0")
+    if k <= 2 or c >= k:
+        return ReferenceRadius("zero")
+    if c == k - 1:
+        return ReferenceRadius("one")
+    if c == 2:
+        return ReferenceRadius("log", base=2, argument=max(3, k - 2), offset=1)
+    argument = max(3, -((k - 2) // -(c - 1)))
+    return ReferenceRadius("log", base=c, argument=argument, offset=0)
+
+
+def reference_admits(num_colors: int, max_degree: int, depth: int) -> bool:
+    return reference_radius(num_colors, max_degree).admits(depth)
+
+
+def radius_bound(num_colors: int, max_degree: int) -> int:
+    """Smallest integer r with k <= 2**(r-1) (c = 2) or k <= c**r * (c-1) + 2
+    (c > 2); 0 when c = k and 1 when c = k - 1.
+
+    This is the coarser closed-form bound; it dominates fix_radius
+    everywhere both are defined.
+    """
+    c, k = num_colors, max_degree
+    if c < 2 or c > k:
+        raise BadParams(f"need 2 <= colors <= max_degree, got ({c}, {k})")
+    if c == k:
+        return 0
+    if c == k - 1:
+        return 1
+    if c == 2:
+        r = 1
+        while k > 2 ** (r - 1):
+            r += 1
+        return r
+    r = 0
+    while k > c**r * (c - 1) + 2:
+        r += 1
+    return r
+
+
+#: Reference grid of fix_radius values, rows by color count c = 2..7,
+#: columns by max valence k = 2..16; None where c > k.  Transcribed once and
+#: cross-checked against the formula by reference_radius_table_check.
+RADIUS_TABLE: dict[int, tuple[int | None, ...]] = {
+    2: (0, 1, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5),
+    3: (None, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2),
+    4: (None, None, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2),
+    5: (None, None, None, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    6: (None, None, None, None, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    7: (None, None, None, None, None, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+}
+RADIUS_TABLE_K = range(2, 17)
+
+
+def reference_radius_table_check() -> CampaignReport:
+    """Compare fix_radius against every defined entry of RADIUS_TABLE."""
+    start = time.perf_counter()
+    trials = 0
+    failures = []
+    for c, row in RADIUS_TABLE.items():
+        for k, expected in zip(RADIUS_TABLE_K, row):
+            if expected is None:
+                continue
+            trials += 1
+            actual = fix_radius(c, k)
+            if actual != expected:
+                failures.append(
+                    Failure(
+                        seed=None,
+                        n=0,
+                        k=k,
+                        c=c,
+                        prop="radius_table",
+                        witness={"expected": expected, "actual": actual},
+                    )
+                )
+    return CampaignReport(trials=trials, failures=failures, elapsed=time.perf_counter() - start)
+
+
+def paired_class_minimax(slots: int, colors: int) -> int:
+    """Exhaustive minimum, over all colorings of `slots` sibling slots with at
+    most `colors` colors in which every used color appears at least twice, of
+    the largest color class.
+
+    Enumerates all partitions of `slots` into at most `colors` parts of size
+    >= 2 (color identities are interchangeable, so partitions cover every
+    coloring) and takes the smallest maximum part.
+    """
+    if slots < 2:
+        raise InfeasibleParams("need at least 2 slots for the pair constraint")
+    if colors < 1:
+        raise InfeasibleParams("need at least 1 color")
+    best: int | None = None
+
+    def descend(remaining: int, cap: int, used: int, largest: int) -> None:
+        nonlocal best
+        if remaining == 0:
+            best = largest if best is None else min(best, largest)
+            return
+        if used == colors or remaining < 2:
+            return
+        for part in range(min(cap, remaining), 1, -1):
+            descend(remaining - part, part, used + 1, max(largest, part))
+
+    descend(slots, slots, 0, 0)
+    assert best is not None
+    return best

@@ -11,7 +11,6 @@ import time
 
 from treedist import (
     Coloring,
-    ceil_fix_radius,
     color_anchored,
     color_regular,
     color_spine,
@@ -21,9 +20,7 @@ from treedist import (
     fix_radius,
     fix_report,
     max_valence,
-    paired_class_minimax,
     random_tree,
-    reference_radius_table_check,
     root_at,
     center,
     tree_from_edges,
@@ -31,6 +28,7 @@ from treedist import (
     verify_near_distinguishing,
 )
 import helpers
+from helpers import paired_class_minimax, reference_radius, reference_radius_table_check
 
 
 def announce(num: int, name: str, detail: str) -> None:
@@ -41,9 +39,9 @@ def test_criterion_01_radius_table():
     start = time.perf_counter()
     report = reference_radius_table_check()
     assert report.passed and report.trials == 75
-    assert ceil_fix_radius(2, 7) == 4
-    assert ceil_fix_radius(3, 9) == 2
-    assert ceil_fix_radius(4, 15) == 2
+    assert fix_radius(2, 7) == 4
+    assert fix_radius(3, 9) == 2
+    assert fix_radius(4, 15) == 2
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     announce(1, "radius table", f"75/75 entries match, {elapsed:.3f}s")
@@ -53,9 +51,10 @@ def test_criterion_02_hub10_fixture():
     start = time.perf_counter()
     t = helpers.load_fixture("hub10_tails2")
     assert max_valence(t) == 10
-    radius = fix_radius(3, 10)
+    radius = reference_radius(3, 10)
     assert not radius.admits(1)
     assert radius.admits(2)
+    assert fix_radius(3, 10) == 2
     coloring, trace = color_tree(t, 3)
     assert trace.line_groups
     for group in trace.line_groups:

@@ -121,6 +121,13 @@ class TestColor:
         code, out, _ = run(capsys, "color", "-a", "spine", str(FIXDIR / "path5.tree"))
         assert code == 0
 
+    @pytest.mark.parametrize("spine", ["a,b", "1,,2"])
+    def test_bad_spine_token_exit2(self, capsys, spine):
+        code, out, err = run(capsys, "color", "-a", "spine", "--spine", spine, str(FIXDIR / "path5.tree"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--spine" in err
+
 
 class TestVerify:
     def test_round_trip_exit0(self, capsys, tmp_path):
@@ -215,7 +222,7 @@ class TestDnumber:
 
 class TestTable:
     def test_default_matches_embedded_table(self, capsys):
-        from treedist import RADIUS_TABLE
+        from helpers import RADIUS_TABLE
 
         code, out, _ = run(capsys, "table")
         assert code == 0

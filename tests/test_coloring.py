@@ -5,9 +5,7 @@ import random
 import pytest
 
 from treedist import (
-    RadiusKind,
     balanced_colors,
-    ceil_fix_radius,
     center,
     color_anchored,
     color_near_distinguishing,
@@ -20,7 +18,6 @@ from treedist import (
     longest_spine,
     lsb_digits,
     max_valence,
-    radius_bound,
     random_tree,
     root_at,
     tree_from_edges,
@@ -29,34 +26,39 @@ from treedist import (
 from treedist.errors import BadParams, BadSpine, IndexOverflow, NotRegularProfile
 
 import helpers
+from helpers import radius_bound, reference_radius
 
 
 class TestFixRadius:
     def test_zero_when_colors_match_valence(self):
-        assert fix_radius(5, 5).kind is RadiusKind.ZERO
+        assert reference_radius(5, 5).kind == "zero"
+        assert fix_radius(5, 5) == 0
 
     def test_one_when_one_color_short(self):
-        assert fix_radius(3, 4).kind is RadiusKind.ONE
+        assert reference_radius(3, 4).kind == "one"
+        assert fix_radius(3, 4) == 1
 
     def test_log_form_c3_k10(self):
-        r = fix_radius(3, 10)
-        assert r.kind is RadiusKind.LOG
+        r = reference_radius(3, 10)
+        assert r.kind == "log"
         assert (r.base, r.argument, r.offset) == (3, 4, 0)
 
     def test_log_form_c2_has_offset(self):
-        r = fix_radius(2, 4)
+        r = reference_radius(2, 4)
         assert (r.base, r.argument, r.offset) == (2, 3, 1)
 
     def test_case_trichotomy(self):
         for k in range(0, 17):
             for c in range(2, 18):
-                r = fix_radius(c, k)
+                r = reference_radius(c, k)
                 if k <= 2 or c >= k:
-                    assert r.kind is RadiusKind.ZERO
+                    assert r.kind == "zero"
+                    assert fix_radius(c, k) == 0
                 elif c == k - 1:
-                    assert r.kind is RadiusKind.ONE
+                    assert r.kind == "one"
+                    assert fix_radius(c, k) == 1
                 else:
-                    assert r.kind is RadiusKind.LOG
+                    assert r.kind == "log"
                     assert 2 <= c <= k - 2 and k >= 4
                     assert r.offset == (1 if c == 2 else 0)
 
@@ -71,14 +73,14 @@ class TestCeilFixRadius:
         [(2, 4, 3), (2, 7, 4), (2, 11, 5), (3, 8, 1), (3, 9, 2), (4, 14, 1), (4, 15, 2)],
     )
     def test_reference_values(self, c, k, expected):
-        assert ceil_fix_radius(c, k) == expected
+        assert fix_radius(c, k) == expected
 
     def test_matches_smallest_admitted_depth(self):
         for k in range(2, 17):
             for c in range(2, k + 1):
-                r = fix_radius(c, k)
+                r = reference_radius(c, k)
                 smallest = next(d for d in range(0, 20) if r.admits(d))
-                assert r.ceil() == smallest
+                assert fix_radius(c, k) == smallest
 
 
 class TestRadiusBound:
@@ -104,7 +106,7 @@ class TestRadiusBound:
     def test_dominates_exact_ceiling(self):
         for k in range(2, 17):
             for c in range(2, k + 1):
-                assert ceil_fix_radius(c, k) <= radius_bound(c, k)
+                assert fix_radius(c, k) <= radius_bound(c, k)
 
     def test_bad_params(self):
         with pytest.raises(BadParams):
@@ -134,7 +136,7 @@ class TestBalancedColors:
                 assert max(counts) <= max(3, -(t // -j))
 
     def test_pairs_achieve_exhaustive_minimum(self):
-        from treedist import paired_class_minimax
+        from helpers import paired_class_minimax
 
         for t in range(2, 13):
             for j in range(1, 7):
@@ -169,7 +171,7 @@ class TestLsbDigits:
 
 def guaranteed_vertices(tree, num_colors):
     rv = root_at(tree, center(tree))
-    radius = fix_radius(num_colors, max_valence(tree))
+    radius = reference_radius(num_colors, max_valence(tree))
     return {u for u in range(tree.n) if radius.admits(rv.heights[u])}
 
 
@@ -204,7 +206,7 @@ class TestColorTreeMain:
 
     def test_complete_1_4_depth3_two_colors(self):
         t = helpers.load_fixture("complete_1_4_depth3")
-        assert ceil_fix_radius(2, 4) == 3
+        assert fix_radius(2, 4) == 3
         coloring, _ = color_tree(t, 2)
         rep = fix_report(t, coloring)
         assert guaranteed_vertices(t, 2) <= rep.fixed_set()
@@ -304,7 +306,7 @@ class TestColorTreeMain:
             if trace.line_groups:
                 assert max(len(g) for g in trace.line_groups) <= bound
             rv = root_at(t, center(t))
-            radius = fix_radius(c, kv)
+            radius = reference_radius(c, kv)
             for p in range(t.n):
                 counts = {}
                 for x in rv.children[p]:

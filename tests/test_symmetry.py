@@ -171,6 +171,14 @@ class TestFixReport:
             expected *= 2
         assert fix_report(t, coloring).aut_count == expected
 
+    @pytest.mark.parametrize("spine", [2, 3, 4, 7, 40, 41])
+    def test_caterpillar_aut_count(self, spine):
+        # every spine vertex permutes its 6 legs freely, and the spine can be
+        # reversed: through the central edge (even spine) or the center's two
+        # spine children (odd spine)
+        t = helpers.caterpillar_tree(spine, 6)
+        assert fix_report(t, mono(t.n)).aut_count == 2 * 720**spine
+
     def test_star_monochromatic(self):
         t = helpers.star_tree(3)
         rep = fix_report(t, mono(4))

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from treedist import (
     CenterKind,
-    FixRadius,
-    RadiusKind,
     RootedView,
     center,
     fix_radius,
@@ -369,25 +367,28 @@ class TestSubtreeHeight:
 class TestDistanceCondition:
     def test_zero_radius_always_true(self):
         rv = root_at(helpers.path_tree(5), 2)
-        r = FixRadius(RadiusKind.ZERO)
+        r = helpers.ReferenceRadius("zero")
         assert all(r.admits(rv.heights[u]) for u in range(5))
+        assert all(rv.heights[u] >= fix_radius(5, 2) for u in range(5))
 
     def test_c3_k10(self):
-        r = fix_radius(3, 10)
+        r = helpers.reference_radius(3, 10)
         assert r.argument == 4 and r.offset == 0
         assert r.admits(2)
         assert not r.admits(1)
+        assert fix_radius(3, 10) == 2
 
     def test_c2_k4(self):
-        r = fix_radius(2, 4)
+        r = helpers.reference_radius(2, 4)
         assert r.argument == 3 and r.offset == 1
         assert r.admits(3)  # 2^2 = 4 >= 3
         assert not r.admits(2)  # 2^1 = 2 < 3
+        assert fix_radius(2, 4) == 3
 
     def test_monotone_in_depth(self):
         for k in range(2, 17):
             for c in range(2, k + 1):
-                r = fix_radius(c, k)
+                r = helpers.reference_radius(c, k)
                 admitted = [r.admits(d) for d in range(13)]
                 first = admitted.index(True)
                 assert all(admitted[first:])
@@ -397,15 +398,35 @@ class TestDistanceCondition:
         mpmath.mp.dps = 50
         for k in range(2, 17):
             for c in range(2, k + 1):
-                r = fix_radius(c, k)
-                if r.kind is RadiusKind.ZERO:
+                r = helpers.reference_radius(c, k)
+                if r.kind == "zero":
                     real = mpmath.mpf(0)
-                elif r.kind is RadiusKind.ONE:
+                elif r.kind == "one":
                     real = mpmath.mpf(1)
                 else:
                     real = mpmath.log(r.argument) / mpmath.log(r.base) + r.offset
                 for d in range(13):
                     assert r.admits(d) == (d >= real - mpmath.mpf("1e-30"))
+                    assert (d >= fix_radius(c, k)) == (d >= real - mpmath.mpf("1e-30"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_integer_threshold_matches_exact_power_form(self, data):
+        k = data.draw(st.integers(0, 300), label="k")
+        c = data.draw(st.integers(2, k + 2), label="c")
+        # thresholds for k <= 300 are at most 10, so half the draws stay
+        # near them; the rest cover large exponents
+        d = data.draw(st.one_of(st.integers(0, 16), st.integers(0, 3000)), label="d")
+        assert (d >= fix_radius(c, k)) == helpers.reference_admits(c, k, d)
+
+    def test_integer_threshold_matches_at_the_boundary(self):
+        # the property's random d rarely lands next to the threshold, so
+        # check both sides of it for every (c, k) of the property's range
+        for k in range(0, 301):
+            for c in range(2, k + 3):
+                r = fix_radius(c, k)
+                assert helpers.reference_admits(c, k, r)
+                assert r == 0 or not helpers.reference_admits(c, k, r - 1)
 
 
 class TestRandomTree:

@@ -4,21 +4,18 @@ import pytest
 
 from treedist import (
     Coloring,
-    RADIUS_TABLE,
-    ceil_fix_radius,
     color_tree,
-    paired_class_minimax,
+    fix_radius,
     random_tree,
-    reference_radius_table_check,
     run_random_campaign,
     tree_from_edges,
     verify_fixing_guarantee,
     verify_near_distinguishing,
 )
 from treedist.errors import BadParams, InfeasibleParams, OracleBudgetExceeded
-from treedist.verifier import RADIUS_TABLE_K
 
 import helpers
+from helpers import RADIUS_TABLE, RADIUS_TABLE_K, paired_class_minimax, reference_radius_table_check
 
 
 class TestPairedClassMinimax:
@@ -74,8 +71,8 @@ class TestRadiusTable:
         assert report.trials == 75
 
     def test_spot_values(self):
-        assert ceil_fix_radius(2, 16) == 5
-        assert ceil_fix_radius(7, 8) == 1
+        assert fix_radius(2, 16) == 5
+        assert fix_radius(7, 8) == 1
 
     def test_table_shape(self):
         assert set(RADIUS_TABLE) == set(range(2, 8))
@@ -171,6 +168,37 @@ class TestRunRandomCampaign:
         a = run_random_campaign(trials=24, n_max=18, k_max=5, seed=4, jobs=1)
         b = run_random_campaign(trials=24, n_max=18, k_max=5, seed=4, jobs=2)
         assert a.to_json_dict() == b.to_json_dict()
+
+    @pytest.mark.parametrize(
+        "jobs,trials,cpus,workers",
+        [(10**6, 24, 8, 8), (10**6, 5, 8, 5), (3, 24, 8, 3), (10**6, 24, None, None), (2, 1, 8, None)],
+    )
+    def test_worker_count_clamped(self, monkeypatch, jobs, trials, cpus, workers):
+        # an in-process stand-in for the pool records the worker count, so no
+        # process is ever started; None means the campaign ran sequentially
+        import concurrent.futures
+
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        report = run_random_campaign(trials=trials, n_max=12, k_max=4, seed=2, jobs=jobs)
+        assert seen == ([] if workers is None else [workers])
+        serial = run_random_campaign(trials=trials, n_max=12, k_max=4, seed=2, jobs=1)
+        assert report.to_json_dict() == serial.to_json_dict()
 
     def test_bad_params(self):
         with pytest.raises(BadParams):
