@@ -4,7 +4,7 @@ The library colors a tree with c colors so that every color-preserving
 automorphism fixes all vertices whose subtree reaches a leaf at distance at
 least the integer threshold fix_radius(c, k), and ships an independent
 automorphism-enumeration oracle to verify the guarantee and compute exact
-distinguishing numbers at desk scale.
+distinguishing numbers.
 """
 
 from .coloring import (
@@ -35,8 +35,6 @@ from .symmetry import (
     unfixed_vertices,
 )
 from .tree_core import (
-    CenterKind,
-    CenterLocus,
     RootedView,
     Tree,
     center,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: color, verify, dnumber, table, gen, campaign.  Exit codes:
-0 success, 1 verification failure, 2 usage/parse/budget errors.  All payload
-outputs (edge lists, coloring/trace JSON, DOT, campaign JSON) are
-deterministic given the flags; nothing embeds timestamps.
+0 success, 1 verification failure, 2 usage/parse/parameter errors.  No
+subcommand caps the tree size.  All payload outputs (edge lists,
+coloring/trace JSON, DOT, campaign JSON) are deterministic given the flags;
+nothing embeds timestamps, and campaign's run time goes to stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .coloring import (
     color_anchored,
@@ -25,7 +27,7 @@ from .coloring import (
 from .errors import BadFormat, TreedistError
 from .symmetry import Coloring, distinguishing_number, fix_report
 from .tree_core import Tree, format_edge_list, max_valence, parse_edge_list, random_tree
-from .verifier import MAX_ORACLE_N, run_random_campaign, verify_fixing_guarantee
+from .verifier import run_random_campaign, verify_fixing_guarantee
 
 DOT_PALETTE = ("white", "black", "gray", "lightblue", "orange", "palegreen", "plum", "khaki")
 
@@ -137,7 +139,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with open(args.coloring, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # also covers bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
             raise BadFormat(f"{args.coloring}: not a coloring JSON file: {exc}") from None
     coloring = Coloring.from_json_dict(data)
     if not coloring.is_total or len(coloring.colors) != tree.n:
@@ -147,7 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(json.dumps(fix_report(tree, coloring).to_json_dict()))
         return 0
     c = coloring.num_colors
-    rep = verify_fixing_guarantee(tree, c, coloring=coloring, max_n=args.max_n)
+    rep = verify_fixing_guarantee(tree, c, coloring=coloring)
     print(json.dumps(rep.to_json_dict()))
     return 0 if rep.passed else 1
 
@@ -155,7 +157,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_dnumber(args: argparse.Namespace) -> int:
     tree = read_tree(args.tree)
     max_colors = args.max_colors if args.max_colors is not None else max_valence(tree) + 1
-    d = distinguishing_number(tree, max_colors, size_guard=args.size_guard)
+    d = distinguishing_number(tree, max_colors)
     print(d)
     return 0
 
@@ -172,9 +174,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     rep = run_random_campaign(args.trials, args.n_max, args.k_max, args.seed, jobs=args.jobs)
+    seconds = time.perf_counter() - start
     print(json.dumps(rep.to_json_dict()))
-    print(f"elapsed: {rep.elapsed:.2f}s", file=sys.stderr)
+    print(f"elapsed: {seconds:.2f}s", file=sys.stderr)
     return 0 if rep.passed else 1
 
 
@@ -182,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treedist",
         description="Symmetry-breaking colorings of finite trees and their verification. "
-        "The TREEDIST_BUDGET environment variable overrides the automorphism "
-        "enumeration budget (default 10^6).",
+        "No subcommand caps the tree size; the only budget is TREEDIST_BUDGET, "
+        "the automorphism enumeration limit (default 10^6), which no subcommand reaches.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -208,13 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree")
     p.add_argument("--coloring", required=True, help="coloring JSON file")
     p.add_argument("--report", action="store_true", help="print the raw orbit report instead")
-    p.add_argument("--max-n", type=int, default=MAX_ORACLE_N)
+    # ignored, as is dnumber's --size-guard; deleted once ROADMAP item 8 drops both from the benchmark
+    p.add_argument("--max-n", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dnumber", help="exact distinguishing number")
     p.add_argument("tree")
     p.add_argument("--max-colors", type=int, default=None)
-    p.add_argument("--size-guard", type=int, default=24)
+    p.add_argument("--size-guard", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_dnumber)
 
     p = sub.add_parser("table", help="print the radius threshold table")

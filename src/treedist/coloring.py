@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import BadParams, BadSpine, IndexOverflow, NotRegularProfile
 from .symmetry import UNCOLORED, Coloring, canonical_labels, structural_codes
-from .tree_core import CenterLocus, RootedView, Tree, max_valence, root_at
+from .tree_core import RootedView, Tree, max_valence, root_at
 
 
 def fix_radius(num_colors: int, max_degree: int) -> int:
@@ -155,7 +155,7 @@ def _longest_descent(rv: RootedView, v: int) -> list[int]:
 
 
 def color_tree(
-    tree: Tree, num_colors: int, root: int | CenterLocus | None = None
+    tree: Tree, num_colors: int, root: int | tuple[int, ...] | None = None
 ) -> tuple[Coloring, ColoringTrace]:
     """Color the tree with num_colors colors so that every vertex meeting the
     distance condition for fix_radius(num_colors, max_valence) is fixed by all
@@ -339,7 +339,7 @@ def _two_color_descent(rv: RootedView, v2: int, colors: list[int], rules: list[s
 
 
 def _color_all_distinct(
-    tree: Tree, num_colors: int, root: int | CenterLocus | None = None
+    tree: Tree, num_colors: int, root: int | tuple[int, ...] | None = None
 ) -> tuple[Coloring, ColoringTrace]:
     """With at least max_valence colors, give every sibling group pairwise
     distinct colors; every vertex ends up fixed."""

@@ -1,7 +1,10 @@
 """Exception hierarchy for treedist.
 
 Every error raised by the library derives from TreedistError so callers
-(and the CLI) can catch one type for the exit-code contract.
+(and the CLI) can catch one type for the exit-code contract.  BudgetExceeded
+is the only budget: it guards explicit automorphism enumeration, the one
+computation whose output can be exponential in n.  No other path has a size
+cap.
 """
 
 
@@ -37,12 +40,8 @@ class PartialColoring(TreedistError):
     """A total coloring was required but some vertex is uncolored."""
 
 
-class LimitExceeded(TreedistError):
-    """Automorphism enumeration exceeded its permutation budget."""
-
-
-class SearchBudgetExceeded(TreedistError):
-    """Tree too large for the distinguishing-number search guard."""
+class BudgetExceeded(TreedistError):
+    """Automorphism enumeration found more permutations than its limit or TREEDIST_BUDGET allows."""
 
 
 class NotFoundWithinMax(TreedistError):
@@ -59,7 +58,3 @@ class NotRegularProfile(TreedistError):
 
 class BadSpine(TreedistError):
     """Marked spine is not a leaf-anchored simple path, or a spine vertex has too many branches."""
-
-
-class OracleBudgetExceeded(TreedistError):
-    """Verification request exceeds the desk-scale oracle budget."""

@@ -26,14 +26,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import count
 
-from .errors import (
-    BadFormat,
-    BadParams,
-    LimitExceeded,
-    NotFoundWithinMax,
-    PartialColoring,
-    SearchBudgetExceeded,
-)
+from .errors import BadFormat, BadParams, BudgetExceeded, NotFoundWithinMax, PartialColoring
 from .tree_core import RootedView, Tree
 
 UNCOLORED = -1
@@ -79,7 +72,7 @@ class Coloring:
         try:
             num_colors = int(data["num_colors"])
             colors = tuple(int(c) for c in data["colors"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
             raise BadFormat(f"malformed coloring: {type(exc).__name__}: {exc}") from None
         return cls(num_colors=num_colors, colors=colors)
 
@@ -262,7 +255,7 @@ def enumerate_automorphisms(
 
     Independent of the canonical-label machinery: a backtracking search maps
     vertices in BFS order, and every produced permutation is re-verified to
-    map edges to edges and preserve colors.  Raises LimitExceeded once more
+    map edges to edges and preserve colors.  Raises BudgetExceeded once more
     than `limit` permutations are found (default: the oracle budget).
     """
     _require_total(tree, coloring)
@@ -325,7 +318,7 @@ def enumerate_automorphisms(
         elif preserved(perm := tuple(mapping)):
             results.append(perm)
             if len(results) > limit:
-                raise LimitExceeded(f"more than {limit} automorphisms")
+                raise BudgetExceeded(f"more than {limit} automorphisms")
     return sorted(results)
 
 
@@ -367,30 +360,43 @@ def _distinguishing_class_counts(rv: RootedView, shape: list[int], d: int, cap: 
     return counts
 
 
-def distinguishing_number(tree: Tree, max_colors: int, size_guard: int = 24) -> int:
+def distinguishing_number(tree: Tree, max_colors: int) -> int:
     """Smallest d <= max_colors admitting a distinguishing d-coloring.
 
     Decided exactly by counting distinguishing colored-subtree classes over
     sibling isomorphism classes, rooted at the center; an edge center needs
     two distinct colored halves when the halves are isomorphic as shapes.
+    A distinguishing d-coloring is also one with d+1 colors, so d is found by
+    galloping (1, 2, 4, ... up to max_colors) and then bisecting: O(log D)
+    counting passes of O(n) each, where a scan over d would cost D passes
+    (D = n-1 on a star).
     """
     if max_colors < 1:
         raise BadParams("max_colors must be >= 1")
-    if tree.n > size_guard:
-        raise SearchBudgetExceeded(f"n={tree.n} exceeds size guard {size_guard}")
     rv = tree.centered
     shape = canonical_labels(rv, [0] * tree.n)
     cap = tree.n + 2
-    for d in range(1, max_colors + 1):
+
+    def distinguishes(d: int) -> bool:
         counts = _distinguishing_class_counts(rv, shape, d, cap)
         if len(rv.roots) == 1:
-            ok = counts[shape[rv.roots[0]]] >= 1
+            return counts[shape[rv.roots[0]]] >= 1
+        a, b = rv.roots
+        if shape[a] == shape[b]:
+            return counts[shape[a]] >= 2
+        return counts[shape[a]] >= 1 and counts[shape[b]] >= 1
+
+    # invariant: no distinguishing coloring with `fails` colors; `hi` is the
+    # next candidate
+    fails, hi = 0, 1
+    while not distinguishes(hi):
+        if hi == max_colors:
+            raise NotFoundWithinMax(f"no distinguishing coloring with <= {max_colors} colors")
+        fails, hi = hi, min(2 * hi, max_colors)
+    while hi - fails > 1:
+        mid = (fails + hi) // 2
+        if distinguishes(mid):
+            hi = mid
         else:
-            a, b = rv.roots
-            if shape[a] == shape[b]:
-                ok = counts[shape[a]] >= 2
-            else:
-                ok = counts[shape[a]] >= 1 and counts[shape[b]] >= 1
-        if ok:
-            return d
-    raise NotFoundWithinMax(f"no distinguishing coloring with <= {max_colors} colors")
+            fails = mid
+    return hi

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 from .errors import (
     BadFormat,
@@ -58,19 +57,6 @@ class Tree:
         return root_at(self, center(self))
 
 
-class CenterKind(Enum):
-    VERTEX = "vertex"
-    EDGE = "edge"
-
-
-@dataclass(frozen=True)
-class CenterLocus:
-    """Center of a tree: a single vertex or the two endpoints of a central edge."""
-
-    kind: CenterKind
-    vertices: tuple[int, ...]
-
-
 def tree_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Tree:
     """Build and validate a Tree from an edge list.
 
@@ -83,8 +69,12 @@ def tree_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Tree:
         raise NonContiguousIds(f"negative vertex id in edge ({u}, {v})")
     max_id = max(ids, default=-1)
     if ids and len(ids) != max_id + 1:
-        missing = sorted(set(range(max_id + 1)) - ids)
-        raise NonContiguousIds(f"vertex ids missing from edge list: {missing[:5]}")
+        # from the gaps between present ids: a range over 0..max_id would
+        # cost memory in the largest id, however short the input
+        present = sorted(ids)
+        gaps = (range(a + 1, b) for a, b in zip([-1, *present], present))
+        missing = list(islice(chain.from_iterable(gaps), 5))
+        raise NonContiguousIds(f"vertex ids missing from edge list: {missing}")
     if n is None:
         if max_id < 0:
             raise NotATree("empty edge list with no vertex count")
@@ -173,13 +163,12 @@ def max_valence(tree: Tree) -> int:
     return max(len(nbrs) for nbrs in tree.adjacency)
 
 
-def center(tree: Tree) -> CenterLocus:
-    """Center by repeated leaf peeling: one vertex or one edge remains."""
+def center(tree: Tree) -> tuple[int, ...]:
+    """Center by repeated leaf peeling: the sorted tuple of the one vertex or
+    the two endpoints of the one edge that remain."""
     n = tree.n
-    if n == 1:
-        return CenterLocus(CenterKind.VERTEX, (0,))
-    if n == 2:
-        return CenterLocus(CenterKind.EDGE, (0, 1))
+    if n <= 2:
+        return tuple(range(n))
     deg = [tree.degree(v) for v in range(n)]
     layer = [v for v in range(n) if deg[v] == 1]
     removed = len(layer)
@@ -194,16 +183,13 @@ def center(tree: Tree) -> CenterLocus:
                         nxt.append(w)
         removed += len(nxt)
         layer = nxt
-    remaining = tuple(sorted(layer))
-    if len(remaining) == 1:
-        return CenterLocus(CenterKind.VERTEX, remaining)
-    return CenterLocus(CenterKind.EDGE, remaining)
+    return tuple(sorted(layer))
 
 
 class RootedView:
     """A Tree indexed from its root(s): parent, depth, children, heights.
 
-    With an edge-center locus both endpoints sit at depth 0, the edge between
+    With an edge center both endpoints sit at depth 0, the edge between
     them carries no parent/child relation, and each endpoint roots its own
     half.  Children lists are ascending by vertex id; every traversal in the
     library derives its determinism from that ordering.  heights[u] is the
@@ -255,12 +241,9 @@ class RootedView:
         return out
 
 
-def root_at(tree: Tree, locus: CenterLocus | int) -> RootedView:
-    """Root the tree at a CenterLocus or at an explicit vertex."""
-    if isinstance(locus, CenterLocus):
-        roots = locus.vertices
-    else:
-        roots = (locus,)
+def root_at(tree: Tree, root: int | tuple[int, ...]) -> RootedView:
+    """Root the tree at a vertex, or at a center as returned by center()."""
+    roots = (root,) if isinstance(root, int) else root
     for r in roots:
         tree.check_vertex(r)
     return RootedView(tree, roots)

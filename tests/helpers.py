@@ -7,6 +7,9 @@ checked against genuinely separate computations.  The reference_* functions
 are the straightforward versions of the parser, validator and rooting that the
 library's tuned versions must match exactly, errors included.
 
+reference_distinguishing_number is the plain scan over d = 1, 2, 3, ... that
+the library's galloping search must match, NotFoundWithinMax included.
+
 reference_radius keeps the fixing threshold in its exact log form (a kind,
 plus base, argument and offset), which the library's integer fix_radius must
 decide identically.  RADIUS_TABLE, radius_bound and paired_class_minimax are
@@ -15,7 +18,6 @@ further reference values and bounds that only the tests consult.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
@@ -26,11 +28,20 @@ from treedist import (
     Coloring,
     Failure,
     Tree,
+    canonical_labels,
     fix_radius,
     parse_edge_list,
     tree_from_edges,
 )
-from treedist.errors import BadFormat, BadParams, InfeasibleParams, NonContiguousIds, NotATree
+from treedist.errors import (
+    BadFormat,
+    BadParams,
+    InfeasibleParams,
+    NonContiguousIds,
+    NotATree,
+    NotFoundWithinMax,
+)
+from treedist.symmetry import _distinguishing_class_counts
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -348,7 +359,6 @@ RADIUS_TABLE_K = range(2, 17)
 
 def reference_radius_table_check() -> CampaignReport:
     """Compare fix_radius against every defined entry of RADIUS_TABLE."""
-    start = time.perf_counter()
     trials = 0
     failures = []
     for c, row in RADIUS_TABLE.items():
@@ -368,7 +378,7 @@ def reference_radius_table_check() -> CampaignReport:
                         witness={"expected": expected, "actual": actual},
                     )
                 )
-    return CampaignReport(trials=trials, failures=failures, elapsed=time.perf_counter() - start)
+    return CampaignReport(trials=trials, failures=failures)
 
 
 def paired_class_minimax(slots: int, colors: int) -> int:
@@ -399,3 +409,26 @@ def paired_class_minimax(slots: int, colors: int) -> int:
     descend(slots, slots, 0, 0)
     assert best is not None
     return best
+
+
+def reference_distinguishing_number(tree: Tree, max_colors: int) -> int:
+    """distinguishing_number as first written: one counting pass per d, for
+    d = 1, 2, ..., max_colors, so D passes in all (D = n-1 on a star)."""
+    if max_colors < 1:
+        raise BadParams("max_colors must be >= 1")
+    rv = tree.centered
+    shape = canonical_labels(rv, [0] * tree.n)
+    cap = tree.n + 2
+    for d in range(1, max_colors + 1):
+        counts = _distinguishing_class_counts(rv, shape, d, cap)
+        if len(rv.roots) == 1:
+            ok = counts[shape[rv.roots[0]]] >= 1
+        else:
+            a, b = rv.roots
+            if shape[a] == shape[b]:
+                ok = counts[shape[a]] >= 2
+            else:
+                ok = counts[shape[a]] >= 1 and counts[shape[b]] >= 1
+        if ok:
+            return d
+    raise NotFoundWithinMax(f"no distinguishing coloring with <= {max_colors} colors")

@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treedist import cli, coloring, symmetry, tree_core, verifier
+from treedist import cli, coloring, format_edge_list, random_tree, symmetry, tree_core, verifier
 from treedist.cli import main, render_radius_table
+from treedist.errors import TreedistError
 
 import helpers
 
@@ -169,6 +176,8 @@ class TestVerify:
             b"[0, 1, 0, 1, 0]",
             b'{"num_colors": 2, "colors": 7}',
             b'{"num_colors": "two", "colors": [0, 1, 0, 1, 0]}',
+            b'{"num_colors": Infinity, "colors": [0, 1, 0, 1, 0]}',
+            pytest.param(b"[" * 100_000, id="nested-100000-deep"),
         ],
     )
     def test_malformed_coloring_exit2(self, capsys, tmp_path, data):
@@ -178,6 +187,17 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_no_size_cap(self, capsys, tmp_path):
+        tree_path = tmp_path / "big.tree"
+        tree_path.write_text(format_edge_list(random_tree(500, 4, 3)))
+        colj = tmp_path / "coloring.json"
+        assert run(capsys, "color", "-c", "2", str(tree_path), "--coloring-out", str(colj))[0] == 0
+        code, out, _ = run(capsys, "verify", str(tree_path), "--coloring", str(colj))
+        assert code == 0
+        assert json.loads(out) == {"trials": 1, "skipped": 0, "failures": []}
+        # the deleted cap's flag is still accepted, and ignored
+        assert run(capsys, "verify", str(tree_path), "--coloring", str(colj), "--max-n", "1") == (0, out, "")
 
     def test_report_mode(self, capsys, tmp_path):
         colj = tmp_path / "coloring.json"
@@ -208,16 +228,25 @@ class TestDnumber:
         n = 8000
         tree = tmp_path / "path.tree"
         tree.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
-        code, out, _ = run(capsys, "dnumber", str(tree), "--size-guard", str(n))
+        code, out, _ = run(capsys, "dnumber", str(tree))
         assert (code, out.strip()) == (0, "2")
 
     def test_over_budget_exit2(self, capsys):
-        code, _, err = run(capsys, "dnumber", str(FIXDIR / "hub10_tails2.tree"))
-        assert code == 2
-        code, out, _ = run(
-            capsys, "dnumber", str(FIXDIR / "hub10_tails2.tree"), "--size-guard", "40"
-        )
-        assert code == 0
+        # the size guard is gone: its flag is still accepted, and ignored
+        tree = str(FIXDIR / "hub10_tails2.tree")
+        code, out, _ = run(capsys, "dnumber", tree)
+        assert (code, out.strip()) == (0, "3")
+        assert run(capsys, "dnumber", tree, "--size-guard", "1") == (0, out, "")
+
+    def test_star_no_size_cap(self, capsys, tmp_path):
+        # D = n-1 on a star: a scan over d would make n counting passes
+        n = 20_001
+        tree = tmp_path / "star.tree"
+        tree.write_text("".join(f"0 {i}\n" for i in range(1, n)))
+        start = time.process_time()
+        code, out, _ = run(capsys, "dnumber", str(tree))
+        assert (code, out.strip()) == (0, str(n - 1))
+        assert time.process_time() - start < 10.0
 
 
 class TestTable:
@@ -362,7 +391,7 @@ class TestRootsOnce:
             ["color", "-c", "10", "hub10_tails2"],
             ["color", "-a", "near", "glued_stars"],
             ["color", "-a", "regular", "complete_1_4_depth2"],
-            ["dnumber", "--size-guard", "40", "hub10_tails2"],
+            ["dnumber", "hub10_tails2"],
         ],
     )
     def test_color_and_dnumber(self, capsys, built, argv):
@@ -390,3 +419,73 @@ class TestRootsOnce:
             assert built["center"] == built["RootedView"] <= 1
             rooted += built["center"]
         assert rooted > 150
+
+
+def _edge_list_bytes():
+    line = st.one_of(
+        st.tuples(st.integers(-2, 12), st.integers(-2, 12)).map("{0[0]} {0[1]}".format),
+        st.sampled_from(["", "#", "# n=1", "# n=0", "# n=x", "0", "0 1 2", "a b", "1.5 2", "\t0\x0b1"]),
+    )
+    return st.lists(line, max_size=14).map("\n".join).map(str.encode)
+
+
+_VALID_TREE = st.builds(random_tree, st.integers(1, 30), st.integers(2, 6), st.integers(0, 10**6)).map(
+    lambda t: format_edge_list(t).encode()
+)
+#: Tree file contents: raw bytes, edge-list-like lines, and valid trees (half
+#: the draws, so that verify often gets as far as reading the coloring).
+TREE_BYTES = st.one_of(st.binary(max_size=64), _edge_list_bytes(), _VALID_TREE, _VALID_TREE)
+JSON_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 8),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1.5, 10**30]),
+    st.text(max_size=3),
+)
+
+
+@pytest.mark.parametrize(
+    "command", [["color", "-c", "2"], ["verify"], ["dnumber"]], ids=["color", "verify", "dnumber"]
+)
+@settings(max_examples=300, deadline=None)
+@given(tree_bytes=TREE_BYTES, data=st.data())
+def test_fuzzed_files_keep_exit_contract(command, tree_bytes, data):
+    """Any tree and coloring file: exit 0, 1 or 2 and never a traceback;
+    1 only from verify, with a real violation in its payload."""
+    # a coloring of the tree's own size lets verify reach the guarantee check
+    try:
+        n = tree_core.parse_edge_list(tree_bytes.decode("utf-8")).n
+    except (UnicodeDecodeError, TreedistError):
+        n = data.draw(st.integers(0, 5))
+    c = data.draw(st.integers(1, 4))
+    proper = st.fixed_dictionaries(
+        {"num_colors": st.just(c), "colors": st.lists(st.integers(0, c - 1), min_size=n, max_size=n)}
+    )
+    odd = st.fixed_dictionaries(
+        {
+            "num_colors": st.one_of(st.just(c), JSON_VALUE),
+            "colors": st.one_of(st.lists(JSON_VALUE, max_size=n + 1), JSON_VALUE),
+        }
+    )
+    coloring_bytes = data.draw(
+        st.one_of(st.binary(max_size=64), st.one_of(proper, odd).map(lambda d: json.dumps(d).encode()))
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        tree_path, coloring_path = Path(tmp, "t.tree"), Path(tmp, "c.json")
+        tree_path.write_bytes(tree_bytes)
+        coloring_path.write_bytes(coloring_bytes)
+        argv = [*command, str(tree_path)]
+        if command == ["verify"]:
+            argv += ["--coloring", str(coloring_path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    # an uncaught exception would leave main() with a traceback; stderr holds
+    # at most the one "error: ..." line (which may quote the input)
+    assert code in (0, 1, 2)
+    stderr = err.getvalue()
+    assert stderr == "" or (stderr.startswith("error: ") and stderr.count("\n") == 1)
+    if code == 1:
+        assert command == ["verify"]
+        assert json.loads(out.getvalue())["failures"]

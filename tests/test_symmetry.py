@@ -27,13 +27,7 @@ from treedist import (
     tree_from_edges,
     unfixed_vertices,
 )
-from treedist.errors import (
-    BadParams,
-    LimitExceeded,
-    NotFoundWithinMax,
-    PartialColoring,
-    SearchBudgetExceeded,
-)
+from treedist.errors import BadParams, BudgetExceeded, NotFoundWithinMax, PartialColoring
 from treedist.symmetry import subtree_code
 
 import helpers
@@ -247,13 +241,13 @@ class TestEnumerateAutomorphisms:
 
     def test_limit_exceeded(self):
         t = helpers.star_tree(6)
-        with pytest.raises(LimitExceeded):
+        with pytest.raises(BudgetExceeded):
             enumerate_automorphisms(t, mono(7), limit=10)
 
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("TREEDIST_BUDGET", "10")
         t = helpers.star_tree(6)
-        with pytest.raises(LimitExceeded):
+        with pytest.raises(BudgetExceeded):
             enumerate_automorphisms(t, mono(7))
 
     def test_budget_env_not_an_integer(self, monkeypatch):
@@ -345,9 +339,8 @@ class TestDistinguishingNumber:
             distinguishing_number(helpers.star_tree(4), 2)
 
     def test_size_guard(self):
-        with pytest.raises(SearchBudgetExceeded):
-            distinguishing_number(helpers.path_tree(30), 3)
-        assert distinguishing_number(helpers.path_tree(30), 3, size_guard=40) == 2
+        # no size guard: the counting search is near-linear in n
+        assert distinguishing_number(helpers.path_tree(30), 3) == 2
 
     def test_matches_brute_force_small(self):
         rng = random.Random(3)
@@ -362,6 +355,19 @@ class TestDistinguishingNumber:
         t = random_tree(n, k, seed)
         d = distinguishing_number(t, max_valence(t) + 1)
         assert 1 <= d <= max_valence(t) + 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 60), k=st.integers(2, 12), seed=st.integers(0, 10**6))
+    def test_galloping_matches_linear_scan(self, n, k, seed):
+        t = random_tree(n, k, seed)
+        for max_colors in range(1, max_valence(t) + 3):
+            try:
+                expected = helpers.reference_distinguishing_number(t, max_colors)
+            except NotFoundWithinMax:
+                with pytest.raises(NotFoundWithinMax):
+                    distinguishing_number(t, max_colors)
+            else:
+                assert distinguishing_number(t, max_colors) == expected
 
 
 def _spider(legs: int, length: int):
