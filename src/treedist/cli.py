@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Iterable, Iterator
 
 from .coloring import (
     color_anchored,
@@ -47,27 +48,35 @@ def read_tree(path: str) -> Tree:
     return parse_edge_list(text)
 
 
-def render_dot(tree: Tree, coloring: Coloring | None = None, trace: ColoringTrace | None = None) -> str:
-    """Graphviz rendering: vertices filled by color index (8-entry palette,
-    cycling), main-line edges drawn with penwidth 2."""
+def _dot_lines(tree: Tree, coloring: Coloring | None = None, trace: ColoringTrace | None = None) -> Iterator[str]:
+    """The lines of render_dot, each ending in a newline; cmd_color writes
+    them as they are made, so the whole text is never held at once."""
     bold = set()
     if trace is not None:
         for line in trace.main_lines:
             for u, v in zip(line.vertices, line.vertices[1:]):
                 bold.add((min(u, v), max(u, v)))
-    out = ["graph tree {", "  node [style=filled, shape=circle];"]
+    yield "graph tree {\n"
+    yield "  node [style=filled, shape=circle];\n"
     for v in range(tree.n):
         if coloring is None or coloring.colors[v] < 0:
-            out.append(f'  {v} [fillcolor="none"];')
+            yield f'  {v} [fillcolor="none"];\n'
             continue
         fill = DOT_PALETTE[coloring.colors[v] % len(DOT_PALETTE)]
         font = ', fontcolor="white"' if fill == "black" else ""
-        out.append(f'  {v} [fillcolor="{fill}"{font}];')
-    for u, v in tree.edges():
-        attr = " [penwidth=2]" if (u, v) in bold else ""
-        out.append(f"  {u} -- {v}{attr};")
-    out.append("}")
-    return "\n".join(out) + "\n"
+        yield f'  {v} [fillcolor="{fill}"{font}];\n'
+    for u, nbrs in enumerate(tree.adjacency):
+        for v in nbrs:
+            if u < v:
+                attr = " [penwidth=2]" if (u, v) in bold else ""
+                yield f"  {u} -- {v}{attr};\n"
+    yield "}\n"
+
+
+def render_dot(tree: Tree, coloring: Coloring | None = None, trace: ColoringTrace | None = None) -> str:
+    """Graphviz rendering as one string: vertices filled by color index
+    (8-entry palette, cycling), main-line edges drawn with penwidth 2."""
+    return "".join(_dot_lines(tree, coloring, trace))
 
 
 def render_radius_table(c_max: int = 7, k_max: int = 16) -> str:
@@ -82,12 +91,12 @@ def render_radius_table(c_max: int = 7, k_max: int = 16) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_or_print(text: str, path: str | None) -> None:
+def _write_or_print(lines: Iterable[str], path: str | None) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def cmd_color(args: argparse.Namespace) -> int:
@@ -119,12 +128,12 @@ def cmd_color(args: argparse.Namespace) -> int:
         coloring = color_anchored(tree, args.anchor)
 
     if args.coloring_out:
-        _write_or_print(json.dumps(coloring.to_json_dict()) + "\n", args.coloring_out)
+        _write_or_print([json.dumps(coloring.to_json_dict()) + "\n"], args.coloring_out)
     if args.trace_out:
         payload = trace.to_json_dict() if trace is not None else {"rules": [], "main_lines": []}
-        _write_or_print(json.dumps(payload) + "\n", args.trace_out)
+        _write_or_print([json.dumps(payload) + "\n"], args.trace_out)
     if args.dot_out:
-        _write_or_print(render_dot(tree, coloring, trace), args.dot_out)
+        _write_or_print(_dot_lines(tree, coloring, trace), args.dot_out)
 
     report = fix_report(tree, coloring)
     c = coloring.num_colors
@@ -169,7 +178,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     tree = random_tree(args.nodes, args.max_degree, args.seed)
-    _write_or_print(format_edge_list(tree), args.out)
+    _write_or_print([format_edge_list(tree)], args.out)
     return 0
 
 

@@ -24,7 +24,6 @@ import os
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import count
 
 from .errors import BadFormat, BadParams, BudgetExceeded, NotFoundWithinMax, PartialColoring
 from .tree_core import RootedView, Tree
@@ -91,7 +90,10 @@ def canonical_labels(
     vertex; with `tops` only their subtrees are visited and the result
     follows the order of `tops`.  Labels from different calls are unrelated.
     """
-    table: dict[tuple[int, tuple[int, ...]], int] = {}
+    # a leaf's key is its color alone and a single child's key holds that
+    # child's label bare; the three key shapes cannot collide, so labels are
+    # those of (color, sorted child labels) keys without building the tuple
+    table: dict[int | tuple[int, int] | tuple[int, tuple[int, ...]], int] = {}
     children = rv.children
     if tops is None:
         labels: list[int] | dict[int, int] = [0] * rv.tree.n
@@ -110,7 +112,12 @@ def canonical_labels(
     label_of = labels.__getitem__
     for u in order:
         below = children[u]
-        key = (colors[u], tuple(sorted(map(label_of, below))) if below else ())
+        if not below:
+            key = colors[u]
+        elif len(below) == 1:
+            key = (colors[u], label_of(below[0]))
+        else:
+            key = (colors[u], tuple(sorted(map(label_of, below))))
         labels[u] = table.setdefault(key, len(table))
     if tops is None:
         return labels
@@ -222,29 +229,37 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
         factors[2] += 1
     aut = math.prod(f**e for f, e in factors.items())
 
+    # orbits are numbered in breadth-first order of their first vertex, which
+    # is rv.order: the roots, then each parent's children in turn.  Children
+    # share an orbit when their parents do and their labels coincide, so a
+    # fixed parent's children are grouped among themselves and only an
+    # unfixed parent's go through the shared table.  An orbit is complete
+    # before its vertices are visited as parents, one level further down.
     orbit = [-1] * tree.n
-    ids = count()
+    sizes: list[int] = []  # by orbit id
     if swap:
-        shared = next(ids)
-        orbit[rv.roots[0]] = shared
-        orbit[rv.roots[1]] = shared
+        orbit[rv.roots[0]] = orbit[rv.roots[1]] = 0
+        sizes.append(2)
     else:
         for r in rv.roots:
-            orbit[r] = next(ids)
-    # depth order guarantees parents are labelled first; vertices merge when
-    # their parents share an orbit and their labels coincide
-    parent = rv.parent
-    groups: dict[tuple[int, int], int] = {}
+            orbit[r] = len(sizes)
+            sizes.append(1)
+    shared: dict[tuple[int, int], int] = {}
+    children = rv.children
     for u in rv.order:
-        if orbit[u] >= 0:
-            continue
-        key = (orbit[parent[u]], labels[u])
-        if key not in groups:
-            groups[key] = next(ids)
-        orbit[u] = groups[key]
+        o = orbit[u]
+        groups = shared if sizes[o] > 1 else {}
+        for w in children[u]:
+            key = (o, labels[w])
+            x = groups.get(key)
+            if x is None:
+                groups[key] = x = len(sizes)
+                sizes.append(1)
+            else:
+                sizes[x] += 1
+            orbit[w] = x
 
-    sizes = Counter(orbit)
-    fixed = tuple(sizes[o] == 1 for o in orbit)
+    fixed = tuple([sizes[o] == 1 for o in orbit])
     return FixReport(orbit=tuple(orbit), fixed=fixed, aut_count=aut)
 
 
@@ -332,7 +347,19 @@ def unfixed_vertices(tree: Tree, coloring: Coloring) -> set[int]:
     return fix_report(tree, coloring).unfixed_set()
 
 
-def _distinguishing_class_counts(rv: RootedView, shape: list[int], d: int, cap: int) -> dict[int, int]:
+def _shape_classes(rv: RootedView, shape: list[int]) -> dict[int, list[tuple[int, int]]]:
+    """Each distinct shape label with its children's (shape label,
+    multiplicity) pairs, in bottom-up order: every shape follows the shapes
+    of its children.  The pairs do not depend on the number of colors, so
+    they are built once, and each counting pass visits shapes, not vertices."""
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for u in reversed(rv.order):
+        if shape[u] not in classes:
+            classes[shape[u]] = list(Counter(map(shape.__getitem__, rv.children[u])).items())
+    return classes
+
+
+def _distinguishing_class_counts(classes: dict[int, list[tuple[int, int]]], d: int, cap: int) -> dict[int, int]:
     """Number of isomorphism classes of distinguishing d-colorings of each
     rooted subtree shape, keyed by shape label and capped at `cap` (a
     threshold-safe ceiling).
@@ -345,18 +372,13 @@ def _distinguishing_class_counts(rv: RootedView, shape: list[int], d: int, cap: 
     Shapes are counted bottom-up, once each, so depth costs no recursion.
     """
     counts: dict[int, int] = {}
-    for u in reversed(rv.order):
-        if shape[u] in counts:
-            continue
-        mult: dict[int, int] = {}
-        for w in rv.children[u]:
-            mult[shape[w]] = mult.get(shape[w], 0) + 1
+    for s, mult in classes.items():
         total = d
-        for label, m in mult.items():
-            total *= math.comb(min(counts[label], cap), m)
+        for label, m in mult:
+            total *= math.comb(counts[label], m)
             if total == 0:
                 break
-        counts[shape[u]] = min(total, cap)
+        counts[s] = min(total, cap)
     return counts
 
 
@@ -368,17 +390,19 @@ def distinguishing_number(tree: Tree, max_colors: int) -> int:
     two distinct colored halves when the halves are isomorphic as shapes.
     A distinguishing d-coloring is also one with d+1 colors, so d is found by
     galloping (1, 2, 4, ... up to max_colors) and then bisecting: O(log D)
-    counting passes of O(n) each, where a scan over d would cost D passes
-    (D = n-1 on a star).
+    counting passes, where a scan over d would cost D passes (D = n-1 on a
+    star).  Each pass is linear in the number of distinct shapes and their
+    child classes, not in n.
     """
     if max_colors < 1:
         raise BadParams("max_colors must be >= 1")
     rv = tree.centered
     shape = canonical_labels(rv, [0] * tree.n)
+    classes = _shape_classes(rv, shape)
     cap = tree.n + 2
 
     def distinguishes(d: int) -> bool:
-        counts = _distinguishing_class_counts(rv, shape, d, cap)
+        counts = _distinguishing_class_counts(classes, d, cap)
         if len(rv.roots) == 1:
             return counts[shape[rv.roots[0]]] >= 1
         a, b = rv.roots

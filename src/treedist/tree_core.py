@@ -63,15 +63,26 @@ def tree_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Tree:
     Vertex ids must be exactly 0..n-1; n defaults to max id + 1 (or the
     explicit argument, required for the single-vertex tree).
     """
-    ids = set(chain.from_iterable(edges))
+    if n is not None and n < 1:
+        raise NotATree(f"vertex count {n}; a tree has at least 1 vertex")
+    ids = list(chain.from_iterable(edges))
     if ids and min(ids) < 0:
         u, v = next((u, v) for u, v in edges if u < 0 or v < 0)
         raise NonContiguousIds(f"negative vertex id in edge ({u}, {v})")
     max_id = max(ids, default=-1)
-    if ids and len(ids) != max_id + 1:
-        # from the gaps between present ids: a range over 0..max_id would
-        # cost memory in the largest id, however short the input
-        present = sorted(ids)
+    del ids
+    # the ids are contiguous when every one of 0..max_id has a neighbour; a
+    # max_id of 2*len(edges) or more rules that out before anything is
+    # allocated in the largest id, however short the input
+    adj: list = []
+    if max_id < 2 * len(edges):
+        adj = [[] for _ in range(max_id + 1)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+    if len(adj) != max_id + 1 or not all(adj):
+        # from the gaps between present ids, for the same reason
+        present = sorted(set(chain.from_iterable(edges)))
         gaps = (range(a + 1, b) for a, b in zip([-1, *present], present))
         missing = list(islice(chain.from_iterable(gaps), 5))
         raise NonContiguousIds(f"vertex ids missing from edge list: {missing}")
@@ -83,21 +94,17 @@ def tree_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Tree:
         raise NonContiguousIds(f"vertex id {max_id} exceeds declared count {n}")
     if len(edges) != n - 1:
         raise NotATree(f"{len(edges)} edges for {n} vertices; a tree needs {n - 1}")
-
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj.extend([] for _ in range(n - len(adj)))
 
     # edge count is n-1, so connectivity from 0 implies tree and id coverage
-    reached = [False] * n
-    reached[0] = True
+    reached = bytearray(n)
+    reached[0] = 1
     stack = [0]
     count = 1
     while stack:
         for w in adj[stack.pop()]:
             if not reached[w]:
-                reached[w] = True
+                reached[w] = 1
                 count += 1
                 stack.append(w)
     if count != n:
@@ -114,7 +121,12 @@ def tree_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Tree:
             seen.add(key)
         raise NotATree(f"disconnected: {count} of {n} vertices reachable from 0")
 
-    return Tree(n=n, adjacency=tuple(map(tuple, map(sorted, adj))))
+    # each list is sorted in place and replaced by its tuple, so the lists
+    # and the tuples are never all alive at once
+    for v, nbrs in enumerate(adj):
+        nbrs.sort()
+        adj[v] = tuple(nbrs)
+    return Tree(n=n, adjacency=tuple(adj))
 
 
 def parse_edge_list(text: str) -> Tree:
@@ -122,7 +134,8 @@ def parse_edge_list(text: str) -> Tree:
 
     Blank lines and '#' comments are ignored, except that a comment of the
     form "# n=K" pins the vertex count (the only way to express the
-    single-vertex tree, which has no edges); K must be an integer.
+    single-vertex tree, which has no edges); K must be an integer of at
+    least 1.
     """
     edges: list[tuple[int, int]] = []
     declared_n: int | None = None
@@ -138,6 +151,8 @@ def parse_edge_list(text: str) -> Tree:
                     declared_n = int(body[2:])
                 except ValueError:
                     raise BadFormat(f"line {lineno}: vertex count is not an integer in {line!r}") from None
+                if declared_n < 1:
+                    raise BadFormat(f"line {lineno}: vertex count must be at least 1 in {line!r}")
             continue
         if len(parts) != 2:
             raise BadFormat(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
@@ -169,7 +184,7 @@ def center(tree: Tree) -> tuple[int, ...]:
     n = tree.n
     if n <= 2:
         return tuple(range(n))
-    deg = [tree.degree(v) for v in range(n)]
+    deg = list(map(len, tree.adjacency))
     layer = [v for v in range(n) if deg[v] == 1]
     removed = len(layer)
     while removed < n:
@@ -203,21 +218,22 @@ class RootedView:
         adjacency = tree.adjacency
         parent: list[int | None] = [None] * n
         depth = [-1] * n
-        children: list[list[int]] = [[] for _ in range(n)]
+        # every leaf shares the one empty tuple
+        children: list[tuple[int, ...]] = [()] * n
         for r in self.roots:
             depth[r] = 0
         # breadth-first: order doubles as the queue; both ends of a central
         # edge start at depth 0, so the edge between them is never followed
         order = list(self.roots)
         for u in order:
-            below = depth[u] + 1
-            kids = children[u]
-            for w in adjacency[u]:
-                if depth[w] < 0:
+            kids = tuple([w for w in adjacency[u] if depth[w] < 0])
+            if kids:
+                below = depth[u] + 1
+                for w in kids:
                     depth[w] = below
                     parent[w] = u
-                    kids.append(w)
-                    order.append(w)
+                children[u] = kids
+                order.extend(kids)
         heights = [0] * n
         for u in reversed(order):
             p = parent[u]
@@ -225,7 +241,7 @@ class RootedView:
                 heights[p] = heights[u] + 1
         self.parent = tuple(parent)
         self.depth = tuple(depth)
-        self.children = tuple(map(tuple, children))
+        self.children = tuple(children)
         self.order = tuple(order)
         self.heights = tuple(heights)
 

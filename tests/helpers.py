@@ -18,6 +18,9 @@ further reference values and bounds that only the tests consult.
 
 from __future__ import annotations
 
+import functools
+import math
+import tracemalloc
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
@@ -31,6 +34,7 @@ from treedist import (
     canonical_labels,
     fix_radius,
     parse_edge_list,
+    random_tree,
     tree_from_edges,
 )
 from treedist.errors import (
@@ -41,9 +45,26 @@ from treedist.errors import (
     NotATree,
     NotFoundWithinMax,
 )
-from treedist.symmetry import _distinguishing_class_counts
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@functools.cache
+def memory_probe_tree() -> Tree:
+    """The tree the peak-memory tests measure on, built once per test run."""
+    return random_tree(20000, 8, 0)
+
+
+def traced_peak(step):
+    """Run step() under tracemalloc: its result, the peak of the memory it
+    allocated, and how much of that it keeps (alive in the result)."""
+    tracemalloc.start()
+    try:
+        result = step()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, kept
 
 
 def load_fixture(name: str) -> Tree:
@@ -151,6 +172,8 @@ def all_labeled_trees(n: int) -> list[Tree]:
 
 def reference_tree_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Tree:
     """tree_from_edges as first written: every check in one pass per edge."""
+    if n is not None and n < 1:
+        raise NotATree(f"vertex count {n}; a tree has at least 1 vertex")
     ids = set()
     for u, v in edges:
         if u < 0 or v < 0:
@@ -214,6 +237,8 @@ def reference_parse_edge_list(text: str) -> Tree:
                     declared_n = int(body[2:])
                 except ValueError:
                     raise BadFormat(f"line {lineno}: vertex count is not an integer in {line!r}") from None
+                if declared_n < 1:
+                    raise BadFormat(f"line {lineno}: vertex count must be at least 1 in {line!r}")
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -411,6 +436,26 @@ def paired_class_minimax(slots: int, colors: int) -> int:
     return best
 
 
+def reference_class_counts(rv, shape: list[int], d: int, cap: int) -> dict[int, int]:
+    """The distinguishing class count of each shape for d colors, capped at
+    `cap`, as first written: a walk over every vertex that rebuilds each
+    shape's child multiplicities on every pass."""
+    counts: dict[int, int] = {}
+    for u in reversed(rv.order):
+        if shape[u] in counts:
+            continue
+        mult: dict[int, int] = {}
+        for w in rv.children[u]:
+            mult[shape[w]] = mult.get(shape[w], 0) + 1
+        total = d
+        for label, m in mult.items():
+            total *= math.comb(min(counts[label], cap), m)
+            if total == 0:
+                break
+        counts[shape[u]] = min(total, cap)
+    return counts
+
+
 def reference_distinguishing_number(tree: Tree, max_colors: int) -> int:
     """distinguishing_number as first written: one counting pass per d, for
     d = 1, 2, ..., max_colors, so D passes in all (D = n-1 on a star)."""
@@ -420,7 +465,7 @@ def reference_distinguishing_number(tree: Tree, max_colors: int) -> int:
     shape = canonical_labels(rv, [0] * tree.n)
     cap = tree.n + 2
     for d in range(1, max_colors + 1):
-        counts = _distinguishing_class_counts(rv, shape, d, cap)
+        counts = reference_class_counts(rv, shape, d, cap)
         if len(rv.roots) == 1:
             ok = counts[shape[rv.roots[0]]] >= 1
         else:

@@ -95,16 +95,42 @@ class TestColor:
         assert "penwidth=2" in text
         assert 'fillcolor="white"' in text
 
+    def test_dot_to_stdout_matches_file(self, capsys, tmp_path):
+        tree = str(FIXDIR / "hub10_tails2.tree")
+        dot = tmp_path / "tree.dot"
+        code, summary, _ = run(capsys, "color", "-c", "3", tree, "--dot-out", str(dot))
+        assert code == 0
+        code, out, _ = run(capsys, "color", "-c", "3", tree, "--dot-out", "-")
+        assert code == 0
+        assert out == dot.read_bytes().decode("utf-8") + summary
+
+    def test_dot_write_peak_memory(self, capsys, monkeypatch, tmp_path):
+        # only the DOT write runs: the tree, coloring and trace are made
+        # beforehand and fix_report is stubbed.  Writing the DOT once peaked
+        # at 2.1 times the Tree (an f-string per vertex and per edge, an edge
+        # list, all joined into one string); written line by line it reads
+        # about 0.1 (see test_tree_core's TestPeakMemory for why a ratio)
+        tree, _, tree_bytes = helpers.traced_peak(lambda: random_tree(20000, 8, 0))
+        made = coloring.color_tree(tree, 2)
+        monkeypatch.setattr(cli, "read_tree", lambda path: tree)
+        monkeypatch.setattr(cli, "color_tree", lambda *args, **kwargs: made)
+        monkeypatch.setattr(cli, "fix_report", lambda *args: symmetry.FixReport((), (), 1))
+        argv = ["color", "-", "-c", "2", "--dot-out", str(tmp_path / "tree.dot")]
+        code, peak, _ = helpers.traced_peak(lambda: main(argv))
+        assert code == 0
+        assert peak < 1.0 * tree_bytes, (peak, tree_bytes)
+
     def test_missing_colors_exit2(self, capsys):
         code, _, err = run(capsys, "color", str(FIXDIR / "path10.tree"))
         assert code == 2
 
     def test_bad_vertex_count_header_exit2(self, capsys, tmp_path):
         bad = tmp_path / "bad.tree"
-        bad.write_text("# n=x\n0 1\n1 2\n")
-        code, _, err = run(capsys, "color", "--colors", "2", str(bad))
-        assert code == 2
-        assert err.startswith("error: ")
+        for header in ("# n=x", "# n=0", "# n=-3"):
+            bad.write_text(f"{header}\n0 1\n1 2\n")
+            code, _, err = run(capsys, "color", "--colors", "2", str(bad))
+            assert code == 2
+            assert err.startswith("error: line 1: vertex count"), header
 
     def test_parse_error_exit2(self, capsys, tmp_path):
         bad = tmp_path / "bad.tree"

@@ -27,6 +27,7 @@ from treedist import (
     tree_from_edges,
     unfixed_vertices,
 )
+from treedist.cli import render_dot
 from treedist.errors import BadParams, BudgetExceeded, NotFoundWithinMax, PartialColoring
 from treedist.symmetry import subtree_code
 
@@ -220,6 +221,19 @@ class TestFixReport:
                     for b in range(t.n):
                         if after.orbit[a] == after.orbit[b]:
                             assert (a, b) in pairs_before
+
+
+class TestFixReportPeakMemory:
+    def test_peak_against_report(self):
+        # fix_report once peaked at 3.5-4.0 times the report it returned: a
+        # (parent orbit, label) key per vertex in one table and a Counter of
+        # all n orbit ids; today it reads about 1.7 (see test_tree_core's
+        # TestPeakMemory for why a ratio)
+        tree = helpers.memory_probe_tree()
+        coloring, _ = color_tree(tree, 2)
+        tree.centered
+        _, peak, kept = helpers.traced_peak(lambda: fix_report(tree, coloring))
+        assert peak < 2.5 * kept, (peak, kept)
 
 
 class TestEnumerateAutomorphisms:
@@ -449,6 +463,68 @@ GOLDEN_COLOR_TREE = {
 }
 
 
+#: Digests (sha256 prefix) of the fix_report JSON and the DOT text for each
+#: GOLDEN_COLOR_TREE coloring and trace: they pin the orbit numbering and the
+#: DOT bytes, recorded before the orbit pass and the DOT writer were rewritten
+#: to drop their transient per-vertex copies.
+GOLDEN_FIX_AND_DOT = {
+    ("complete_1_3_depth1", 2): ("42491c15365374a8", "2b502387bd8373ca"),
+    ("complete_1_3_depth1", 3): ("d024fbe7f3d8c057", "973c7cb537ff4fae"),
+    ("complete_1_3_depth2", 2): ("f51ddfc9b31b2ebc", "909e4b940875d1f8"),
+    ("complete_1_3_depth2", 3): ("e0846e1e3e0fdfd9", "4e388183c00b5563"),
+    ("complete_1_3_depth3", 2): ("aa766e90dd94fb94", "d571503cc75501b6"),
+    ("complete_1_3_depth3", 3): ("e33e1656aed24be0", "3756a9fdd763b4a2"),
+    ("complete_1_4_depth1", 2): ("fa21cc66c21fe99e", "67d11955b3213817"),
+    ("complete_1_4_depth1", 3): ("3d3d71058b34e218", "b230d20bdd0be731"),
+    ("complete_1_4_depth1", 4): ("7b0091beeea008ec", "dcf646239f66d3f9"),
+    ("complete_1_4_depth2", 2): ("337b12c8b0c2d585", "02cb9cec68c7fd96"),
+    ("complete_1_4_depth2", 3): ("2aa7a86b12758dcd", "9c45cffb5600f989"),
+    ("complete_1_4_depth2", 4): ("0a288d2ecd1612ce", "e5fe7ac3b9c82d16"),
+    ("complete_1_4_depth3", 2): ("5c6c5daf5b6cc2d1", "9b5cf96c3d99c54b"),
+    ("complete_1_4_depth3", 3): ("d7e39888f625cc02", "c18c0c882cc9550b"),
+    ("complete_1_4_depth3", 4): ("f52472de10d61391", "f41ce63d6bbc8d8c"),
+    ("glued_stars", 2): ("f51ddfc9b31b2ebc", "909e4b940875d1f8"),
+    ("glued_stars", 3): ("e0846e1e3e0fdfd9", "4e388183c00b5563"),
+    ("hub10_tails2", 2): ("a4a7d7c2c4280ae0", "5fc01002218bfc6d"),
+    ("hub10_tails2", 3): ("b0baacf457928792", "e2857d325f1eeeec"),
+    ("hub10_tails2", 4): ("b0baacf457928792", "899e5fb6fb0c3603"),
+    ("hub10_tails2", 5): ("b0baacf457928792", "57eb4725ba6fa042"),
+    ("hub10_tails2", 6): ("b0baacf457928792", "01ecf1ca9c64e0a9"),
+    ("hub10_tails2", 7): ("b0baacf457928792", "803d52bc140331a1"),
+    ("hub10_tails2", 8): ("b0baacf457928792", "3a1d4dcef3c7e024"),
+    ("hub10_tails2", 9): ("b0baacf457928792", "0c64dbad481d2ee8"),
+    ("hub10_tails2", 10): ("b0baacf457928792", "175a1e805feb2da0"),
+    ("path10", 2): ("6d4f36270910bc66", "f3073c60c5f2f0d3"),
+    ("path4", 2): ("298ca22e04cf659e", "bb315bfad748a2a6"),
+    ("path5", 2): ("0c23c1535ec4c8d2", "c9dbde46fcaa4777"),
+    ("spider_8x6", 2): ("95a0998f8b4866a3", "0eb03e6eaae24b1a"),
+    ("spider_8x6", 3): ("95a0998f8b4866a3", "21c22dff8473d891"),
+    ("spider_8x6", 4): ("95a0998f8b4866a3", "1ab4a4ab66b249a6"),
+    ("spider_8x6", 5): ("95a0998f8b4866a3", "f512446f2f8519dd"),
+    ("spider_8x6", 6): ("95a0998f8b4866a3", "4b26319623c2f769"),
+    ("spider_8x6", 7): ("95a0998f8b4866a3", "26008d43b9ea5898"),
+    ("spider_8x6", 8): ("95a0998f8b4866a3", "71f95fa54816f3fd"),
+    ("complete_1_7_depth3", 2): ("8f4b7addb7108d8d", "82cbf4a4948de6b1"),
+    ("complete_1_7_depth3", 3): ("bdab40c5f1130a8b", "eecdd3314f01c43b"),
+    ("complete_1_7_depth3", 4): ("52cb091eea237283", "9edbf10c429d23d3"),
+    ("complete_1_7_depth3", 5): ("8ca5ae188908a318", "b734dbb3a83041f4"),
+    ("complete_1_7_depth3", 6): ("006532c1598c3b46", "77e1a617c0e2ffaf"),
+    ("complete_1_7_depth3", 7): ("365b2fc244d9fe34", "4177d65fc221a12e"),
+    ("hub4_binary4", 2): ("8053a6e0ef33c26f", "7a0f458e47cd6eb9"),
+    ("hub4_binary4", 3): ("a8eb5ceb39771f2c", "b82221d6c9221e8a"),
+    ("hub4_binary4", 4): ("a8eb5ceb39771f2c", "f1fe84acd406d6e1"),
+    ("random_300_k6", 2): ("ff847c8392ff3cf0", "c07e17df56f63cf3"),
+    ("random_300_k6", 3): ("62af928e1006ed7d", "fc2205ceb2515c63"),
+    ("random_300_k6", 4): ("bf359ee6a8e80aa5", "bca1430933d64ec0"),
+    ("random_300_k6", 5): ("eeb7a851bc13e17d", "2b3a4ebf36c5fdfe"),
+    ("random_300_k6", 6): ("eeb7a851bc13e17d", "53337dacc32d45bb"),
+}
+
+
+def _digest(payload: dict | str) -> str:
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
 def _golden_tree(name: str):
     generated = {
         "spider_8x6": lambda: _spider(8, 6),
@@ -467,11 +543,16 @@ class TestColorTreeGolden:
 
     @pytest.mark.parametrize("name", sorted({name for name, _ in GOLDEN_COLOR_TREE}))
     def test_coloring_and_trace_bytes_pinned(self, name):
-        def digest(payload: dict) -> str:
-            return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
-
         t = _golden_tree(name)
         for c in range(2, max_valence(t) + 1):
             coloring, trace = color_tree(t, c)
-            got = (digest(coloring.to_json_dict()), digest(trace.to_json_dict()))
+            got = (_digest(coloring.to_json_dict()), _digest(trace.to_json_dict()))
             assert got == GOLDEN_COLOR_TREE[(name, c)], (name, c)
+
+    @pytest.mark.parametrize("name", sorted({name for name, _ in GOLDEN_FIX_AND_DOT}))
+    def test_fix_report_and_dot_bytes_pinned(self, name):
+        t = _golden_tree(name)
+        for c in range(2, max_valence(t) + 1):
+            coloring, trace = color_tree(t, c)
+            got = (_digest(fix_report(t, coloring).to_json_dict()), _digest(render_dot(t, coloring, trace)))
+            assert got == GOLDEN_FIX_AND_DOT[(name, c)], (name, c)

@@ -73,6 +73,16 @@ class TestParseEdgeList:
         with pytest.raises(BadFormat):
             parse_edge_list("# n=x\n0 1\n")
 
+    @pytest.mark.parametrize("text, line", [("# n=0\n", 1), ("0 1\n# n=-3\n", 2)])
+    def test_vertex_count_below_one_header(self, text, line):
+        with pytest.raises(BadFormat, match=f"^line {line}: vertex count must be at least 1"):
+            parse_edge_list(text)
+
+    @pytest.mark.parametrize("edges, n", [([], 0), ([(0, 1)], -3)])
+    def test_vertex_count_below_one(self, edges, n):
+        with pytest.raises(NotATree, match="at least 1 vertex"):
+            tree_from_edges(edges, n)
+
     def test_non_contiguous_ids(self):
         with pytest.raises(NonContiguousIds):
             parse_edge_list("0 1\n1 3\n3 4")
@@ -92,6 +102,28 @@ class TestParseEdgeList:
         t = helpers.load_fixture("glued_stars")
         again = parse_edge_list(format_edge_list(t))
         assert again == t
+
+
+class TestPeakMemory:
+    """A step's tracemalloc peak against what it keeps, on
+    helpers.memory_probe_tree(): ratios hold across Python versions where
+    absolute sizes do not.  Parsing once peaked at 3.2 times the Tree it
+    returned (a set of every id and a sorted copy of every adjacency list,
+    alive next to the lists and the final tuples), rooting at 2.8 times its
+    view (n children lists, then a tuple copy of each); today they read
+    about 1.7 each."""
+
+    def test_parse(self):
+        text = format_edge_list(helpers.memory_probe_tree())
+        tree, peak, kept = helpers.traced_peak(lambda: parse_edge_list(text))
+        assert tree == helpers.memory_probe_tree()
+        assert peak < 2.4 * kept, (peak, kept)
+
+    def test_root_at(self):
+        tree = helpers.memory_probe_tree()
+        loc = center(tree)
+        _, peak, kept = helpers.traced_peak(lambda: root_at(tree, loc))
+        assert peak < 2.2 * kept, (peak, kept)
 
 
 class TestMaxValence:
