@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from collections.abc import Iterable, Iterator
+from itertools import islice
 
 from .coloring import (
     color_anchored,
@@ -27,9 +28,11 @@ from .coloring import (
 )
 from .errors import BadFormat, TreedistError
 from .symmetry import Coloring, distinguishing_number, fix_report
-from .tree_core import Tree, format_edge_list, max_valence, parse_edge_list, random_tree
+from .tree_core import Tree, edge_list_lines, max_valence, parse_edge_list, random_tree
 from .verifier import run_random_campaign, verify_fixing_guarantee
 
+#: List elements joined into one string at a time when writing JSON.
+JSON_BATCH = 4096
 DOT_PALETTE = ("white", "black", "gray", "lightblue", "orange", "palegreen", "plum", "khaki")
 
 
@@ -91,6 +94,28 @@ def render_radius_table(c_max: int = 7, k_max: int = 16) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_pieces(payload: dict) -> Iterator[str]:
+    """The text of json.dumps(payload) + "\n", in pieces.  A list of ints
+    and strings is written from one encoded chunk per distinct value, joined
+    with ", " a batch at a time: json.dumps would make a new string for every
+    element, n of them for a per-vertex list of colors or rule tags."""
+    yield "{"
+    sep = ""
+    for key, value in payload.items():
+        yield f"{sep}{json.dumps(key)}: "
+        sep = ", "
+        if type(value) is list and set(map(type, value)) <= {int, str}:
+            chunk = {x: json.dumps(x) for x in set(value)}
+            encoded = map(chunk.__getitem__, value)
+            yield "[" + ", ".join(islice(encoded, JSON_BATCH))
+            while batch := ", ".join(islice(encoded, JSON_BATCH)):
+                yield ", " + batch
+            yield "]"
+        else:
+            yield json.dumps(value)
+    yield "}\n"
+
+
 def _write_or_print(lines: Iterable[str], path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.writelines(lines)
@@ -128,10 +153,10 @@ def cmd_color(args: argparse.Namespace) -> int:
         coloring = color_anchored(tree, args.anchor)
 
     if args.coloring_out:
-        _write_or_print([json.dumps(coloring.to_json_dict()) + "\n"], args.coloring_out)
+        _write_or_print(_json_pieces(coloring.to_json_dict()), args.coloring_out)
     if args.trace_out:
         payload = trace.to_json_dict() if trace is not None else {"rules": [], "main_lines": []}
-        _write_or_print([json.dumps(payload) + "\n"], args.trace_out)
+        _write_or_print(_json_pieces(payload), args.trace_out)
     if args.dot_out:
         _write_or_print(_dot_lines(tree, coloring, trace), args.dot_out)
 
@@ -178,7 +203,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     tree = random_tree(args.nodes, args.max_degree, args.seed)
-    _write_or_print([format_edge_list(tree)], args.out)
+    _write_or_print(edge_list_lines(tree), args.out)
     return 0
 
 

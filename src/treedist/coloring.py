@@ -16,11 +16,10 @@ vertex id everywhere, so repeated runs are byte-identical.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .errors import BadParams, BadSpine, IndexOverflow, NotRegularProfile
 from .symmetry import UNCOLORED, Coloring, canonical_labels, structural_codes
-from .tree_core import RootedView, Tree, max_valence, root_at
+from .tree_core import Record, RootedView, Tree, max_valence, root_at
 
 
 def fix_radius(num_colors: int, max_degree: int) -> int:
@@ -99,19 +98,20 @@ def lsb_digits(index: int, length: int, base: int) -> list[int]:
     return digits
 
 
-@dataclass(frozen=True)
-class MainLine:
+class MainLine(Record):
     """One separated group member: its anchor, the anchor plus the
     digit-colored segment below it, the digit sequence, and the group index."""
 
-    anchor: int
-    vertices: tuple[int, ...]
-    sequence: tuple[int, ...]
-    index: int
+    __slots__ = _fields = ("anchor", "vertices", "sequence", "index")
+
+    def __init__(self, anchor: int, vertices: tuple[int, ...], sequence: tuple[int, ...], index: int):
+        self.anchor = anchor
+        self.vertices = vertices
+        self.sequence = sequence
+        self.index = index
 
 
-@dataclass
-class ColoringTrace:
+class ColoringTrace(Record):
     """Which rule colored each vertex, plus the main lines grouped by event.
 
     Rule tags: "root", "step2_default", "step3_optimal", "main_line[i]",
@@ -120,8 +120,12 @@ class ColoringTrace:
     digit sequences and are vertex-disjoint from all other lines.
     """
 
-    rules: list[str]
-    line_groups: list[list[MainLine]] = field(default_factory=list)
+    __slots__ = _fields = ("rules", "line_groups")
+    __hash__ = None  # mutable: the coloring appends to both lists
+
+    def __init__(self, rules: list[str], line_groups: list[list[MainLine]] | None = None):
+        self.rules = rules
+        self.line_groups = [] if line_groups is None else line_groups
 
     @property
     def main_lines(self) -> list[MainLine]:

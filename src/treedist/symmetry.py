@@ -23,10 +23,9 @@ import math
 import os
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .errors import BadFormat, BadParams, BudgetExceeded, NotFoundWithinMax, PartialColoring
-from .tree_core import RootedView, Tree
+from .tree_core import Record, RootedView, Tree
 
 UNCOLORED = -1
 
@@ -45,19 +44,19 @@ def oracle_budget() -> int:
         raise BadParams(f"TREEDIST_BUDGET must be an integer, got {raw!r}") from None
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """Vertex -> color map with colors in 0..num_colors-1; -1 marks uncolored."""
 
-    num_colors: int
-    colors: tuple[int, ...]
+    __slots__ = _fields = ("num_colors", "colors")
 
-    def __post_init__(self):
-        if self.num_colors < 1:
+    def __init__(self, num_colors: int, colors: tuple[int, ...]):
+        if num_colors < 1:
             raise BadParams("num_colors must be >= 1")
-        for v, c in enumerate(self.colors):
-            if c != UNCOLORED and not 0 <= c < self.num_colors:
-                raise BadParams(f"vertex {v} has color {c}, not in 0..{self.num_colors - 1}")
+        for v, c in enumerate(colors):
+            if c != UNCOLORED and not 0 <= c < num_colors:
+                raise BadParams(f"vertex {v} has color {c}, not in 0..{num_colors - 1}")
+        self.num_colors = num_colors
+        self.colors = colors
 
     @property
     def is_total(self) -> bool:
@@ -164,17 +163,19 @@ def structural_codes(rv: RootedView) -> list[bytes]:
     return [codes[u] for u in range(rv.tree.n)]
 
 
-@dataclass(frozen=True)
-class FixReport:
+class FixReport(Record):
     """Orbit partition under color-preserving automorphisms.
 
     fixed[v] is True exactly when v's orbit has size 1; aut_count is the
     exact order of the color-preserving automorphism group.
     """
 
-    orbit: tuple[int, ...]
-    fixed: tuple[bool, ...]
-    aut_count: int
+    __slots__ = _fields = ("orbit", "fixed", "aut_count")
+
+    def __init__(self, orbit: tuple[int, ...], fixed: tuple[bool, ...], aut_count: int):
+        self.orbit = orbit
+        self.fixed = fixed
+        self.aut_count = aut_count
 
     def fixed_set(self) -> set[int]:
         return {v for v, f in enumerate(self.fixed) if f}

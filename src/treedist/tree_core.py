@@ -14,7 +14,8 @@ callers compare with the fixing threshold coloring.fix_radius.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from array import array
+from collections.abc import Iterable, Iterator, MutableSequence
 from functools import cached_property
 from itertools import chain, islice
 
@@ -27,12 +28,39 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Tree:
+class Record:
+    """Value semantics for a plain class: equality, hash and repr over the
+    attributes named in _fields, as a frozen dataclass gives them.  The
+    library's result types use it instead of dataclasses, whose import pulls
+    inspect, dis, ast and tokenize into every CLI run, about a megabyte."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({inner})"
+
+
+class Tree(Record):
     """Undirected tree on vertices 0..n-1 with sorted adjacency lists."""
 
-    n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    _fields = ("n", "adjacency")
+
+    def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...]):
+        self.n = n
+        self.adjacency = adjacency
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -50,39 +78,50 @@ class Tree:
         """The tree rooted at its center, built on first use and then shared.
 
         cached_property stores the view in the instance __dict__, so the
-        dataclass fields, equality, hash and repr are untouched.  center and
+        fields, equality, hash and repr are untouched.  center and
         root_at are called through this module's globals, so a wrapper rebound
         on either name (as the benchmark's traced run does) sees the call.
         """
         return root_at(self, center(self))
 
 
-def tree_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Tree:
+def tree_from_edges(edges: Iterable[tuple[int, int]], n: int | None = None) -> Tree:
     """Build and validate a Tree from an edge list.
 
     Vertex ids must be exactly 0..n-1; n defaults to max id + 1 (or the
     explicit argument, required for the single-vertex tree).
     """
+    return _tree_from_ends(list(chain.from_iterable(edges)), n)
+
+
+def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
+    """tree_from_edges on the edges' ends laid out flat: edge i joins
+    ends[2i] and ends[2i+1].  parse_edge_list and random_tree fill an array
+    of machine ints, so no int object is kept per end.  ends is emptied once
+    the tree is validated, before the adjacency tuples are made."""
+    m = len(ends) // 2
     if n is not None and n < 1:
         raise NotATree(f"vertex count {n}; a tree has at least 1 vertex")
-    ids = list(chain.from_iterable(edges))
-    if ids and min(ids) < 0:
-        u, v = next((u, v) for u, v in edges if u < 0 or v < 0)
-        raise NonContiguousIds(f"negative vertex id in edge ({u}, {v})")
-    max_id = max(ids, default=-1)
-    del ids
+    if ends and min(ends) < 0:
+        i = next(i for i, x in enumerate(ends) if x < 0) & ~1
+        raise NonContiguousIds(f"negative vertex id in edge ({ends[i]}, {ends[i + 1]})")
+    max_id = max(ends, default=-1)
     # the ids are contiguous when every one of 0..max_id has a neighbour; a
-    # max_id of 2*len(edges) or more rules that out before anything is
-    # allocated in the largest id, however short the input
+    # max_id of 2*m or more rules that out before anything is allocated in
+    # the largest id, however short the input
     adj: list = []
-    if max_id < 2 * len(edges):
-        adj = [[] for _ in range(max_id + 1)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
+    if max_id < 2 * m:
+        # an adjacency entry naming a vertex is that vertex's one int object
+        names = list(range(max_id + 1))
+        adj = [[] for _ in names]
+        it = iter(ends)
+        for u, v in zip(it, it):
+            adj[u].append(names[v])
+            adj[v].append(names[u])
+        del names
     if len(adj) != max_id + 1 or not all(adj):
         # from the gaps between present ids, for the same reason
-        present = sorted(set(chain.from_iterable(edges)))
+        present = sorted(set(ends))
         gaps = (range(a + 1, b) for a, b in zip([-1, *present], present))
         missing = list(islice(chain.from_iterable(gaps), 5))
         raise NonContiguousIds(f"vertex ids missing from edge list: {missing}")
@@ -92,8 +131,8 @@ def tree_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Tree:
         n = max_id + 1
     if max_id >= n:
         raise NonContiguousIds(f"vertex id {max_id} exceeds declared count {n}")
-    if len(edges) != n - 1:
-        raise NotATree(f"{len(edges)} edges for {n} vertices; a tree needs {n - 1}")
+    if m != n - 1:
+        raise NotATree(f"{m} edges for {n} vertices; a tree needs {n - 1}")
     adj.extend([] for _ in range(n - len(adj)))
 
     # edge count is n-1, so connectivity from 0 implies tree and id coverage
@@ -112,7 +151,8 @@ def tree_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Tree:
         # vertices, so these are looked for only here; the first in edge
         # order is reported, self-loop before repeat
         seen = set()
-        for u, v in edges:
+        it = iter(ends)
+        for u, v in zip(it, it):
             if u == v:
                 raise NotATree(f"self-loop at {u}")
             key = (min(u, v), max(u, v))
@@ -120,13 +160,14 @@ def tree_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Tree:
                 raise NotATree(f"duplicate edge {key}")
             seen.add(key)
         raise NotATree(f"disconnected: {count} of {n} vertices reachable from 0")
+    del ends[:]
 
     # each list is sorted in place and replaced by its tuple, so the lists
     # and the tuples are never all alive at once
     for v, nbrs in enumerate(adj):
         nbrs.sort()
         adj[v] = tuple(nbrs)
-    return Tree(n=n, adjacency=tuple(adj))
+    return Tree(n, tuple(adj))
 
 
 def parse_edge_list(text: str) -> Tree:
@@ -137,7 +178,8 @@ def parse_edge_list(text: str) -> Tree:
     single-vertex tree, which has no edges); K must be an integer of at
     least 1.
     """
-    edges: list[tuple[int, int]] = []
+    ends = array("q")
+    append = ends.append
     declared_n: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -162,20 +204,37 @@ def parse_edge_list(text: str) -> Tree:
             raise BadFormat(f"line {lineno}: non-integer token in {raw.strip()!r}") from None
         if u < 0 or v < 0:
             raise BadFormat(f"line {lineno}: negative vertex id in {raw.strip()!r}")
-        edges.append((u, v))
-    return tree_from_edges(edges, n=declared_n)
+        try:
+            append(u)
+            append(v)
+        except OverflowError:
+            # an id of 2^63 or more, which the builder reports as leaving
+            # ids missing: from here on a list holds the ends, whole pairs
+            ends = ends.tolist()[: len(ends) & ~1]
+            append = ends.append
+            append(u)
+            append(v)
+    return _tree_from_ends(ends, declared_n)
+
+
+def edge_list_lines(tree: Tree) -> Iterator[str]:
+    """The lines of format_edge_list, each ending in a newline; `treedist
+    gen` writes them as they are made, so the whole text is never held."""
+    yield f"# n={tree.n}\n"
+    for u, nbrs in enumerate(tree.adjacency):
+        for v in nbrs:
+            if u < v:
+                yield f"{u} {v}\n"
 
 
 def format_edge_list(tree: Tree) -> str:
     """Serialize a Tree to the edge-list format (with a "# n=K" header)."""
-    lines = [f"# n={tree.n}"]
-    lines.extend(f"{u} {v}" for u, v in tree.edges())
-    return "\n".join(lines) + "\n"
+    return "".join(edge_list_lines(tree))
 
 
 def max_valence(tree: Tree) -> int:
     """Largest vertex degree (0 for the single-vertex tree)."""
-    return max(len(nbrs) for nbrs in tree.adjacency)
+    return max(map(len, tree.adjacency))
 
 
 def center(tree: Tree) -> tuple[int, ...]:
@@ -239,10 +298,15 @@ class RootedView:
             p = parent[u]
             if p is not None and heights[p] <= heights[u]:
                 heights[p] = heights[u] + 1
+        # one list at a time becomes its tuple and is dropped
         self.parent = tuple(parent)
+        del parent
         self.depth = tuple(depth)
+        del depth
         self.children = tuple(children)
+        del children
         self.order = tuple(order)
+        del order
         self.heights = tuple(heights)
 
     def subtree(self, u: int) -> list[int]:
@@ -275,7 +339,7 @@ def random_tree(n: int, max_degree: int, seed: int) -> Tree:
     if n == 2 and max_degree < 1:
         raise InfeasibleParams("an edge needs degree 1 at both ends")
     rng = random.Random(seed)
-    edges: list[tuple[int, int]] = []
+    ends = array("q")
     deg = [0] * n
     for v in range(1, n):
         while True:
@@ -284,5 +348,6 @@ def random_tree(n: int, max_degree: int, seed: int) -> Tree:
                 break
         deg[p] += 1
         deg[v] += 1
-        edges.append((p, v))
-    return tree_from_edges(edges, n=n)
+        ends.append(p)
+        ends.append(v)
+    return _tree_from_ends(ends, n)

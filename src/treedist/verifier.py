@@ -13,24 +13,25 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
 
 from .coloring import color_near_distinguishing, color_tree, fix_radius
 from .errors import BadParams
 from .symmetry import Coloring, fix_report
-from .tree_core import Tree, max_valence, random_tree
+from .tree_core import Record, Tree, max_valence, random_tree
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Record):
     """One violated property with enough context to replay it."""
 
-    seed: int | None
-    n: int
-    k: int
-    c: int | None
-    prop: str
-    witness: dict
+    __slots__ = _fields = ("seed", "n", "k", "c", "prop", "witness")
+
+    def __init__(self, seed: int | None, n: int, k: int, c: int | None, prop: str, witness: dict):
+        self.seed = seed
+        self.n = n
+        self.k = k
+        self.c = c
+        self.prop = prop
+        self.witness = witness
 
     def to_json_dict(self) -> dict:
         return {
@@ -43,13 +44,16 @@ class Failure:
         }
 
 
-@dataclass
-class CampaignReport:
+class CampaignReport(Record):
     """Aggregate of verification trials; passed iff failures is empty."""
 
-    trials: int
-    skipped: int = 0
-    failures: list[Failure] = field(default_factory=list)
+    __slots__ = _fields = ("trials", "skipped", "failures")
+    __hash__ = None  # mutable, as its failures list is
+
+    def __init__(self, trials: int, skipped: int = 0, failures: list[Failure] | None = None):
+        self.trials = trials
+        self.skipped = skipped
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

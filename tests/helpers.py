@@ -19,6 +19,7 @@ further reference values and bounds that only the tests consult.
 from __future__ import annotations
 
 import functools
+import gc
 import math
 import tracemalloc
 from collections import deque
@@ -57,7 +58,10 @@ def memory_probe_tree() -> Tree:
 
 def traced_peak(step):
     """Run step() under tracemalloc: its result, the peak of the memory it
-    allocated, and how much of that it keeps (alive in the result)."""
+    allocated, and how much of that it keeps (alive in the result).  A full
+    collection first empties the interpreter's free lists, so every object
+    step() makes is a traced allocation whatever ran before it."""
+    gc.collect()
     tracemalloc.start()
     try:
         result = step()

@@ -10,9 +10,10 @@ import tempfile
 import time
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treedist import cli, coloring, format_edge_list, random_tree, symmetry, tree_core, verifier
@@ -46,6 +47,19 @@ class TestGen:
         code, _, err = run(capsys, "gen", "-n", "10", "-k", "1")
         assert code == 2
         assert "error" in err
+
+    def test_write_peak_memory(self, monkeypatch, tmp_path):
+        # only the write runs: the tree is made beforehand.  gen once built
+        # an edge list and an f-string per edge, joined into one string, and
+        # peaked at 1.2 times the Tree; written line by line it reads about
+        # 0.16 (see test_tree_core's TestPeakMemory for why a ratio)
+        tree, _, tree_bytes = helpers.traced_peak(lambda: random_tree(20000, 8, 0))
+        monkeypatch.setattr(cli, "random_tree", lambda *args: tree)
+        out = tmp_path / "gen.tree"
+        code, peak, _ = helpers.traced_peak(lambda: main(["gen", "-n", "20000", "-k", "8", "-o", str(out)]))
+        assert code == 0
+        assert out.read_text() == format_edge_list(tree)
+        assert peak < 0.4 * tree_bytes, (peak, tree_bytes)
 
 
 class TestColor:
@@ -174,6 +188,22 @@ class TestVerify:
             code, out, _ = run(capsys, "verify", tree_path, "--coloring", str(colj))
             assert code == 0
             assert json.loads(out)["failures"] == []
+
+    def test_verify_peak_memory(self, capsys, monkeypatch, tmp_path):
+        # the tree is made beforehand; reading the coloring, rooting the tree
+        # and fix_report's labelling run measured.  Together they peak at
+        # about 1.7 times the Tree, of which the view cached on the tree
+        # keeps 0.7 (see test_tree_core's TestPeakMemory for why a ratio)
+        tree, _, tree_bytes = helpers.traced_peak(lambda: random_tree(20000, 8, 0))
+        colj = tmp_path / "coloring.json"
+        made, _ = coloring.color_tree(random_tree(20000, 8, 0), 2)
+        colj.write_text(json.dumps(made.to_json_dict()))
+        monkeypatch.setattr(cli, "read_tree", lambda path: tree)
+        argv = ["verify", "-", "--coloring", str(colj)]
+        code, peak, _ = helpers.traced_peak(lambda: main(argv))
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == []
+        assert peak < 2.0 * tree_bytes, (peak, tree_bytes)
 
     def test_broken_coloring_exit1(self, capsys, tmp_path):
         colj = tmp_path / "coloring.json"
@@ -330,17 +360,30 @@ class TestCampaign:
         assert out1 == out2
 
 
+def _loaded_by_cli_import(*modules: str) -> list[str]:
+    """Which of `modules` a bare interpreter (-S: no site packages) holds
+    after importing treedist.cli from this checkout's src/."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import treedist.cli; "
+        f"print(' '.join(m for m in {modules!r} if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60, check=True
+    )
+    return done.stdout.split()
+
+
 def test_cli_import_loads_no_process_pool():
     # the process pool is imported only by campaign --jobs > 1, so every
     # other run skips its import cost
-    probe = (
-        "import sys, treedist.cli; "
-        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
-    )
-    assert done.stdout.strip() == "[]"
+    assert _loaded_by_cli_import("concurrent.futures.process", "multiprocessing") == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the result types are plain classes, so no run pays for importing
+    # dataclasses and the inspect, dis, ast and tokenize it pulls in
+    assert _loaded_by_cli_import("dataclasses", "inspect") == []
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -380,6 +423,40 @@ def test_stdin_not_utf8_exit2(capsys, monkeypatch, errors):
     assert out == ""
     assert err.startswith("error: ") and "not UTF-8" in err
     assert "Traceback" not in err
+
+
+_PAYLOAD_TREES = st.one_of(
+    st.builds(random_tree, st.integers(1, 60), st.integers(2, 8), st.integers(0, 10**6)),
+    # complete trees with valence 5 or 6 build main lines at c = 3
+    st.builds(helpers.complete_tree, st.integers(5, 6), st.integers(2, 3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=_PAYLOAD_TREES, c=st.one_of(st.none(), st.integers(2, 8)), batch=st.integers(1, 8))
+@example(tree=helpers.complete_tree(5, 3), c=3, batch=2)  # 18 main lines
+@example(tree=helpers.complete_tree(5, 3), c=None, batch=2)
+def test_json_payloads_equal_json_dumps(tree, c, batch):
+    """--coloring-out and --trace-out hold json.dumps(x.to_json_dict()) + "\\n",
+    byte for byte, although cmd_color writes them from shared chunks, a
+    batch of list elements at a time (small batches here, so that lists
+    span several).  c None stands for -a near, whose trace is empty."""
+    if c is None:
+        made = coloring.color_near_distinguishing(tree)
+        flags = ["-a", "near"]
+        expected_trace = {"rules": [], "main_lines": []}
+    else:
+        made, trace = coloring.color_tree(tree, c)
+        flags = ["-c", str(c)]
+        expected_trace = trace.to_json_dict()
+    with tempfile.TemporaryDirectory() as tmp:
+        tree_path, colj, trj = Path(tmp, "t.tree"), Path(tmp, "c.json"), Path(tmp, "t.json")
+        tree_path.write_text(format_edge_list(tree), encoding="utf-8")
+        argv = ["color", str(tree_path), *flags, "--coloring-out", str(colj), "--trace-out", str(trj)]
+        with mock.patch.object(cli, "JSON_BATCH", batch), contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert colj.read_bytes() == (json.dumps(made.to_json_dict()) + "\n").encode()
+        assert trj.read_bytes() == (json.dumps(expected_trace) + "\n").encode()
 
 
 class TestRootsOnce:
