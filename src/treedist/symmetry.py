@@ -14,7 +14,10 @@ Everything here is pure given immutable inputs, so different trees can be
 processed in parallel without coordination.  fix_report computes orbits and
 the exact automorphism count from canonical labels alone;
 enumerate_automorphisms is a deliberately separate search path that lists
-explicit permutations, so the two can be checked against each other.
+explicit permutations, so the two can be checked against each other.  It
+re-verifies the permutations it finds a batch at a time, with one set test
+per vertex and per edge across the whole batch, and raises AssertionError
+on one that fails, which only a wrong search can produce.
 """
 
 from __future__ import annotations
@@ -264,15 +267,44 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
     return FixReport(orbit=tuple(orbit), fixed=fixed, aut_count=aut)
 
 
+#: Found permutations are re-verified this many at a time, column by column.
+VERIFY_BATCH = 1024
+
+
+def _check_batch(tree: Tree, colors: Sequence[int], batch: list[tuple[int, ...]]) -> None:
+    """Raise AssertionError unless every map of `batch` is a permutation
+    that preserves colors and maps edges to edges.  zip(*batch) gives each
+    vertex's images, so one set test per vertex or edge checks it in the
+    whole batch."""
+    if not batch:
+        return
+    classes: dict[int, set[int]] = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, set()).add(v)
+    arcs = {(u, w) for u, nbrs in enumerate(tree.adjacency) for w in nbrs}
+    images = list(zip(*batch))
+    if not (
+        set(map(len, map(set, batch))) == {len(colors)}
+        and all(map(set.issuperset, map(classes.__getitem__, colors), images))
+        and all(arcs.issuperset(zip(images[u], images[w])) for u, w in arcs if u < w)
+    ):
+        raise AssertionError("enumerate_automorphisms found a permutation that is not an automorphism")
+
+
 def enumerate_automorphisms(
     tree: Tree, coloring: Coloring, limit: int | None = None
 ) -> list[tuple[int, ...]]:
-    """Explicit list of all color-preserving automorphisms as permutations.
+    """Sorted list of all color-preserving automorphisms as permutations.
 
     Independent of the canonical-label machinery: a backtracking search maps
-    vertices in BFS order, and every produced permutation is re-verified to
-    map edges to edges and preserve colors.  Raises BudgetExceeded once more
-    than `limit` permutations are found (default: the oracle budget).
+    vertices in BFS order, and the permutations it finds are re-verified,
+    VERIFY_BATCH at a time (see _check_batch), to be bijections that map
+    edges to edges and preserve colors; a map that fails raises
+    AssertionError, as only a wrong search can produce one.  Raises
+    BudgetExceeded once more than `limit` permutations are found (default:
+    the oracle budget).  The cost is bound by the output: per permutation,
+    a few list steps in the search and O(n) C-level set lookups in the
+    check.
     """
     _require_total(tree, coloring)
     if limit is None:
@@ -280,62 +312,56 @@ def enumerate_automorphisms(
     n = tree.n
     cols = coloring.colors
     adjacency = tree.adjacency
-    degree = [len(nbrs) for nbrs in adjacency]
-    order = [0]
-    bfs_parent: list[int | None] = [None] * n
+    # an image must have the same degree and color: one int holds both
+    kind = [len(nbrs) + n * c for nbrs, c in zip(adjacency, cols)]
+    # BFS from vertex 0: above[i] is the parent of order[i]
+    order, above = [0], [0]
     seen = [False] * n
     seen[0] = True
     for u in order:
         for w in adjacency[u]:
             if not seen[w]:
                 seen[w] = True
-                bfs_parent[w] = u
                 order.append(w)
+                above.append(u)
 
-    def preserved(perm: tuple[int, ...]) -> bool:
-        for u in range(n):
-            if cols[perm[u]] != cols[u]:
-                return False
-            image = adjacency[perm[u]]
-            for w in adjacency[u]:
-                if perm[w] not in image:
-                    return False
-        return True
-
-    # depth-first over order: stack[i] iterates the candidate images of
-    # order[i]; a vertex's image is undone before its next candidate is tried
+    # depth-first over order: level i tries the candidate images of
+    # order[i] from its[i], undoing the last one first.  The BFS parent is
+    # the only neighbour mapped so far, and the candidates are the
+    # neighbours of its image, so that edge is kept by construction.  The
+    # last vertex's image is not marked used: nothing is mapped after it.
     results: list[tuple[int, ...]] = []
     mapping = [-1] * n
     used = [False] * n
-    stack = [iter(range(n))]
-    while stack:
-        i = len(stack) - 1
+    its = [iter(range(n))] * n  # level i > 0 is set on entering it
+    last = n - 1
+    i = 0
+    while i >= 0:
         v = order[i]
         if mapping[v] >= 0:
             used[mapping[v]] = False
-            mapping[v] = -1
-        dv, cv, around = degree[v], cols[v], adjacency[v]
-        for w in stack[i]:
-            if used[w] or degree[w] != dv or cols[w] != cv:
-                continue
-            image = adjacency[w]
-            for x in around:
-                if mapping[x] >= 0 and mapping[x] not in image:
-                    break
-            else:
+        kv = kind[v]
+        for w in its[i]:
+            if kind[w] == kv and not used[w]:
                 break
         else:
-            stack.pop()
+            mapping[v] = -1
+            i -= 1
             continue
         mapping[v] = w
-        used[w] = True
-        if i + 1 < n:
-            stack.append(iter(adjacency[mapping[bfs_parent[order[i + 1]]]]))
-        elif preserved(perm := tuple(mapping)):
-            results.append(perm)
-            if len(results) > limit:
-                raise BudgetExceeded(f"more than {limit} automorphisms")
-    return sorted(results)
+        if i < last:
+            used[w] = True
+            i += 1
+            its[i] = iter(adjacency[mapping[above[i]]])
+            continue
+        results.append(tuple(mapping))
+        if len(results) > limit:
+            raise BudgetExceeded(f"more than {limit} automorphisms")
+        if len(results) % VERIFY_BATCH == 0:
+            _check_batch(tree, cols, results[-VERIFY_BATCH:])
+    _check_batch(tree, cols, results[len(results) - len(results) % VERIFY_BATCH :])
+    results.sort()
+    return results
 
 
 def is_distinguishing(tree: Tree, coloring: Coloring) -> bool:

@@ -10,6 +10,11 @@ library's tuned versions must match exactly, errors included.
 reference_distinguishing_number is the plain scan over d = 1, 2, 3, ... that
 the library's galloping search must match, NotFoundWithinMax included.
 
+reference_enumerate_automorphisms is the automorphism search that re-verifies
+each permutation on its own as it is found; the library's batched
+re-verification must return the same list and raise BudgetExceeded at the
+same limits.
+
 reference_radius keeps the fixing threshold in its exact log form (a kind,
 plus base, argument and offset), which the library's integer fix_radius must
 decide identically.  RADIUS_TABLE, radius_bound and paired_class_minimax are
@@ -41,11 +46,13 @@ from treedist import (
 from treedist.errors import (
     BadFormat,
     BadParams,
+    BudgetExceeded,
     InfeasibleParams,
     NonContiguousIds,
     NotATree,
     NotFoundWithinMax,
 )
+from treedist.symmetry import _require_total, oracle_budget
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -92,6 +99,13 @@ def caterpillar_tree(spine: int, legs: int) -> Tree:
             edges.append((s, nxt))
             nxt += 1
     return tree_from_edges(edges, n=nxt)
+
+
+def binary_tree(depth: int) -> Tree:
+    """Complete binary tree: every internal vertex has two children, all
+    leaves at the given depth; 2^(2^depth - 1) automorphisms."""
+    n = 2 ** (depth + 1) - 1
+    return tree_from_edges([((v - 1) // 2, v) for v in range(1, n)], n=n)
 
 
 def complete_tree(k: int, depth: int) -> Tree:
@@ -186,7 +200,12 @@ def reference_tree_from_edges(edges: list[tuple[int, int]], n: int | None = None
         ids.add(v)
     max_id = max(ids, default=-1)
     if ids and len(ids) != max_id + 1:
-        missing = sorted(set(range(max_id + 1)) - ids)
+        # the first five ids in the gaps below the sorted present ids: no
+        # set of every id up to max_id, which may be 10^30
+        present = sorted(ids)
+        missing: list[int] = []
+        for a, b in zip([-1, *present], present):
+            missing.extend(range(a + 1, min(b, a + 6)))
         raise NonContiguousIds(f"vertex ids missing from edge list: {missing[:5]}")
     if n is None:
         if max_id < 0:
@@ -481,3 +500,71 @@ def reference_distinguishing_number(tree: Tree, max_colors: int) -> int:
         if ok:
             return d
     raise NotFoundWithinMax(f"no distinguishing coloring with <= {max_colors} colors")
+
+
+def reference_enumerate_automorphisms(
+    tree: Tree, coloring: Coloring, limit: int | None = None
+) -> list[tuple[int, ...]]:
+    """The same BFS-order search as enumerate_automorphisms, with every
+    already-mapped neighbour tested in the loop and each permutation
+    re-verified on its own as it is found (one that fails is dropped)."""
+    _require_total(tree, coloring)
+    if limit is None:
+        limit = oracle_budget()
+    n = tree.n
+    cols = coloring.colors
+    adjacency = tree.adjacency
+    degree = [len(nbrs) for nbrs in adjacency]
+    order = [0]
+    bfs_parent: list[int | None] = [None] * n
+    seen = [False] * n
+    seen[0] = True
+    for u in order:
+        for w in adjacency[u]:
+            if not seen[w]:
+                seen[w] = True
+                bfs_parent[w] = u
+                order.append(w)
+
+    def preserved(perm: tuple[int, ...]) -> bool:
+        for u in range(n):
+            if cols[perm[u]] != cols[u]:
+                return False
+            image = adjacency[perm[u]]
+            for w in adjacency[u]:
+                if perm[w] not in image:
+                    return False
+        return True
+
+    results: list[tuple[int, ...]] = []
+    mapping = [-1] * n
+    used = [False] * n
+    stack = [iter(range(n))]
+    while stack:
+        i = len(stack) - 1
+        v = order[i]
+        if mapping[v] >= 0:
+            used[mapping[v]] = False
+            mapping[v] = -1
+        dv, cv, around = degree[v], cols[v], adjacency[v]
+        for w in stack[i]:
+            if used[w] or degree[w] != dv or cols[w] != cv:
+                continue
+            image = adjacency[w]
+            for x in around:
+                if mapping[x] >= 0 and mapping[x] not in image:
+                    break
+            else:
+                break
+        else:
+            stack.pop()
+            continue
+        mapping[v] = w
+        used[w] = True
+        if i + 1 < n:
+            stack.append(iter(adjacency[mapping[bfs_parent[order[i + 1]]]]))
+        elif preserved(perm := tuple(mapping)):
+            results.append(perm)
+            if len(results) > limit:
+                raise BudgetExceeded(f"more than {limit} automorphisms")
+    return sorted(results)

@@ -29,7 +29,9 @@ from treedist import (
 )
 from treedist.cli import render_dot
 from treedist.errors import BadParams, BudgetExceeded, NotFoundWithinMax, PartialColoring
-from treedist.symmetry import subtree_code
+from treedist.symmetry import VERIFY_BATCH, _check_batch, subtree_code
+import treedist.symmetry as symmetry
+import treedist.tree_core as tree_core
 
 import helpers
 
@@ -140,9 +142,9 @@ class TestCanonicalLabels:
 
 
 @st.composite
-def totally_colored_trees(draw):
+def totally_colored_trees(draw, max_n=40, max_degree=6):
     """A random tree and a random total coloring with up to 3 colors."""
-    t = random_tree(draw(st.integers(1, 40)), draw(st.integers(2, 6)), draw(st.integers(0, 10**6)))
+    t = random_tree(draw(st.integers(1, max_n)), draw(st.integers(2, max_degree)), draw(st.integers(0, 10**6)))
     c = draw(st.integers(1, 3))
     colors = draw(st.lists(st.integers(0, c - 1), min_size=t.n, max_size=t.n))
     return t, Coloring(c, tuple(colors))
@@ -286,6 +288,112 @@ class TestEnumerateAutomorphisms:
             coloring = Coloring(2, cols)
             autos = enumerate_automorphisms(t, coloring)
             assert autos == sorted(helpers.brute_force_automorphisms(t, coloring))
+
+
+class TestBatchedEnumeration:
+    """enumerate_automorphisms re-verifies its permutations VERIFY_BATCH at a
+    time; it must return exactly what the one-at-a-time search in
+    tests/helpers.py returns, at every batch boundary."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=totally_colored_trees(max_degree=4))
+    def test_matches_reference(self, case):
+        t, coloring = case
+        expected = helpers.reference_enumerate_automorphisms(t, coloring)
+        assert enumerate_automorphisms(t, coloring) == expected
+        count = len(expected)
+        assert enumerate_automorphisms(t, coloring, limit=count) == expected
+        assert helpers.reference_enumerate_automorphisms(t, coloring, limit=count) == expected
+        for enumerate_ in (enumerate_automorphisms, helpers.reference_enumerate_automorphisms):
+            with pytest.raises(BudgetExceeded):
+                enumerate_(t, coloring, limit=count - 1)
+
+    @pytest.mark.parametrize(
+        "tree, count, full_batches, partial_batch",
+        [
+            (helpers.binary_tree(4), 32768, 32, False),  # nothing left for the last check
+            (helpers.star_tree(6), 720, 0, True),
+            (helpers.star_tree(7), 5040, 4, True),
+        ],
+        ids=["binary4", "star6", "star7"],
+    )
+    def test_batch_boundaries(self, tree, count, full_batches, partial_batch):
+        assert count // VERIFY_BATCH == full_batches
+        assert (count % VERIFY_BATCH > 0) == partial_batch
+        coloring = mono(tree.n)
+        autos = enumerate_automorphisms(tree, coloring)
+        assert len(autos) == count == fix_report(tree, coloring).aut_count
+        assert autos[0] == tuple(range(tree.n))
+        assert all(a < b for a, b in zip(autos, autos[1:]))
+
+    # on the path 0-1-2-3 colored (0, 1, 0, 0), (0, 1, 3, 2) keeps every
+    # color but maps the one edge 1-2 to 1-3, and the reversal keeps every
+    # edge but gives vertices 1 and 2 each other's color; with one color,
+    # the fold (0, 1, 2, 1) keeps every edge and color but is no bijection
+    PATH = helpers.path_tree(4)
+    BROKEN = {
+        "edge": ((0, 1, 0, 0), (0, 1, 3, 2)),
+        "color": ((0, 1, 0, 0), (3, 2, 1, 0)),
+        "bijection": ((0, 0, 0, 0), (0, 1, 2, 1)),
+    }
+
+    def test_check_batch_accepts_automorphisms(self):
+        _check_batch(self.PATH, (0, 1, 0, 0), [(0, 1, 2, 3)] * VERIFY_BATCH)
+        _check_batch(self.PATH, (0, 0, 0, 0), [(0, 1, 2, 3), (3, 2, 1, 0)])
+        _check_batch(self.PATH, (0, 1, 0, 0), [])
+
+    @pytest.mark.parametrize("broken", ["edge", "color", "bijection"])
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+    def test_check_batch_rejects(self, broken, first):
+        colors, bad = self.BROKEN[broken]
+        fill = [(0, 1, 2, 3)] * (VERIFY_BATCH - 1)
+        batch = [bad, *fill] if first else [*fill, bad]
+        with pytest.raises(AssertionError):
+            _check_batch(self.PATH, colors, batch)
+
+    def test_independent_of_canonical_labels_and_centering(self, monkeypatch):
+        # the oracles stay independent of each other: enumeration may not
+        # reach canonical labels, fix_report or the centered view
+        cases = []
+        for path in sorted(helpers.FIXTURES.glob("*.tree")):
+            t = helpers.load_fixture(path.stem)
+            for coloring in (mono(t.n), color_tree(t, 2)[0]):
+                try:
+                    expected = helpers.reference_enumerate_automorphisms(t, coloring, limit=5000)
+                except BudgetExceeded:
+                    expected = BudgetExceeded
+                cases.append((helpers.load_fixture(path.stem), coloring, expected))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enumerate_automorphisms reached another oracle")
+
+        monkeypatch.setattr(symmetry, "canonical_labels", forbidden)
+        monkeypatch.setattr(symmetry, "fix_report", forbidden)
+        monkeypatch.setattr(tree_core, "center", forbidden)
+        monkeypatch.setattr(tree_core, "root_at", forbidden)
+        for t, coloring, expected in cases:
+            if expected is BudgetExceeded:
+                with pytest.raises(BudgetExceeded):
+                    enumerate_automorphisms(t, coloring, limit=5000)
+            else:
+                assert enumerate_automorphisms(t, coloring, limit=5000) == expected
+        assert any(expected is BudgetExceeded for _, _, expected in cases)
+        assert any(len(expected) > 1 for _, _, expected in cases if expected is not BudgetExceeded)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=totally_colored_trees(max_n=14, max_degree=4))
+    def test_matches_networkx(self, case):
+        # the brute force in tests/helpers.py stops at n = 8; VF2 reaches 14
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        t, coloring = case
+        g = nx.Graph()
+        g.add_nodes_from((v, {"color": c}) for v, c in enumerate(coloring.colors))
+        g.add_edges_from(t.edges())
+        matcher = GraphMatcher(g, g, node_match=lambda a, b: a["color"] == b["color"])
+        expected = sorted(tuple(m[v] for v in range(t.n)) for m in matcher.isomorphisms_iter())
+        assert enumerate_automorphisms(t, coloring) == expected
 
 
 class TestOracleEquivalence:

@@ -277,14 +277,17 @@ def _outcome(build, *args):
         return type(exc), str(exc)
 
 
-MUTATIONS = ("self_loop", "duplicate", "reversed_duplicate", "drop", "negative", "over_count", "extra")
+MUTATIONS = ("self_loop", "duplicate", "reversed_duplicate", "drop", "negative", "over_count", "extra", "huge")
+#: Ids the parser's array of machine ints holds last (2^63 - 1) or cannot hold.
+HUGE_IDS = (2**63 - 1, 2**63, 2**64 + 1, 10**30)
 
 
 @st.composite
 def edge_lists(draw):
     """A random tree's edges, shuffled and flipped, then possibly broken:
-    self-loops, repeated edges, missing, negative or too large ids, too few
-    or too many edges; with no, the right or a wrong vertex count."""
+    self-loops, repeated edges, missing, negative, too large or huge (past
+    64 bits) ids, too few or too many edges; with no, the right or a wrong
+    vertex count."""
     n = draw(st.integers(1, 14))
     t = random_tree(n, draw(st.integers(2, 5)), draw(st.integers(0, 10**6)))
     rnd = draw(st.randoms(use_true_random=False))
@@ -309,11 +312,13 @@ def edge_lists(draw):
             edges[i] = (edges[i][0], n + rnd.randrange(3))
         elif op == "extra":
             edges.append((rnd.randrange(n), rnd.randrange(n + 1)))
+        elif op == "huge" and edges:
+            edges[i] = (edges[i][0], rnd.choice(HUGE_IDS))
     declared = draw(st.sampled_from([None, None, n, n, n + 1, n - 1, 0]))
     return edges, declared
 
 
-TOKENS = ("0", "1", "2", "3", "7", "-1", "x", "+2", "1_0", "#", "# n=3", "# n=x", "#n=2", "# n=", "# note")
+TOKENS = ("0", "1", "2", "3", "7", "-1", "x", "+2", "1_0", "#", "# n=3", "# n=x", "#n=2", "# n=", "# note", str(2**64))
 
 
 @st.composite
