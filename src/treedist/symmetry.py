@@ -55,9 +55,15 @@ class Coloring(Record):
     def __init__(self, num_colors: int, colors: tuple[int, ...]):
         if num_colors < 1:
             raise BadParams("num_colors must be >= 1")
-        for v, c in enumerate(colors):
-            if c != UNCOLORED and not 0 <= c < num_colors:
-                raise BadParams(f"vertex {v} has color {c}, not in 0..{num_colors - 1}")
+        # whole-tuple checks first; the first bad vertex is looked for only
+        # when one fails.  A bool is not a color, though it is an int.
+        if not set(map(type, colors)) <= {int}:
+            v, c = next((v, c) for v, c in enumerate(colors) if type(c) is not int)
+            raise BadParams(f"vertex {v} has color {c!r}, not an integer")
+        if colors and (min(colors) < UNCOLORED or max(colors) >= num_colors):
+            for v, c in enumerate(colors):
+                if c != UNCOLORED and not 0 <= c < num_colors:
+                    raise BadParams(f"vertex {v} has color {c}, not in 0..{num_colors - 1}")
         self.num_colors = num_colors
         self.colors = colors
 
@@ -72,7 +78,7 @@ class Coloring(Record):
     def from_json_dict(cls, data: dict) -> "Coloring":
         try:
             num_colors = int(data["num_colors"])
-            colors = tuple(int(c) for c in data["colors"])
+            colors = tuple(map(int, data["colors"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
             raise BadFormat(f"malformed coloring: {type(exc).__name__}: {exc}") from None
         return cls(num_colors=num_colors, colors=colors)
@@ -251,17 +257,36 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
     shared: dict[tuple[int, int], int] = {}
     children = rv.children
     for u in rv.order:
+        below = children[u]
+        if not below:
+            continue
         o = orbit[u]
-        groups = shared if sizes[o] > 1 else {}
-        for w in children[u]:
-            key = (o, labels[w])
-            x = groups.get(key)
-            if x is None:
-                groups[key] = x = len(sizes)
-                sizes.append(1)
-            else:
-                sizes[x] += 1
-            orbit[w] = x
+        if sizes[o] > 1:
+            for w in below:
+                key = (o, labels[w])
+                x = shared.get(key)
+                if x is None:
+                    shared[key] = x = len(sizes)
+                    sizes.append(1)
+                else:
+                    sizes[x] += 1
+                orbit[w] = x
+        elif len(below) == 1:
+            orbit[below[0]] = len(sizes)
+            sizes.append(1)
+        else:
+            # a fixed parent's children share an orbit exactly when their
+            # labels do, so the label alone is the key
+            groups: dict[int, int] = {}
+            for w in below:
+                label = labels[w]
+                x = groups.get(label)
+                if x is None:
+                    groups[label] = x = len(sizes)
+                    sizes.append(1)
+                else:
+                    sizes[x] += 1
+                orbit[w] = x
 
     fixed = tuple([sizes[o] == 1 for o in orbit])
     return FixReport(orbit=tuple(orbit), fixed=fixed, aut_count=aut)

@@ -9,14 +9,24 @@ then shared by all callers; the view is a deterministic function of the
 tree, so building it twice yields equal views and sharing stays safe.
 RootedView.heights holds each vertex's subtree height, the integer that
 callers compare with the fixing threshold coloring.fix_radius.
+
+A tree is validated by leaf peeling: with exactly n-1 edges the graph is a
+tree when repeatedly removing every leaf removes all vertices.  The same
+peel yields the center (the last layer), each vertex's parent towards it
+(the neighbour still present when the vertex is removed) and its subtree
+height in the center-rooted view (the round in which it is removed).  The
+Tree keeps these until its center-rooted view is built from them, so
+loading and rooting a tree visit every vertex once each.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import re
 from array import array
-from collections.abc import Iterable, Iterator, MutableSequence
-from functools import cached_property
+from collections.abc import Iterable, Iterator, MutableSequence, Sequence
+from functools import cache, cached_property
 from itertools import chain, islice
 
 from .errors import (
@@ -85,6 +95,11 @@ class Tree(Record):
         return root_at(self, center(self))
 
 
+#: What leaf peeling yields: the center, then each vertex's parent towards
+#: it (-1 at the center) and its subtree height in the center-rooted view.
+Peel = tuple[tuple[int, ...], array, array]
+
+
 def tree_from_edges(edges: Iterable[tuple[int, int]], n: int | None = None) -> Tree:
     """Build and validate a Tree from an edge list.
 
@@ -98,7 +113,8 @@ def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
     """tree_from_edges on the edges' ends laid out flat: edge i joins
     ends[2i] and ends[2i+1].  parse_edge_list and random_tree fill an array
     of machine ints, so no int object is kept per end.  ends is emptied once
-    the tree is validated, before the adjacency tuples are made."""
+    the tree is validated; the Tree keeps the peel that validated it for
+    its center-rooted view."""
     m = len(ends) // 2
     if n is not None and n < 1:
         raise NotATree(f"vertex count {n}; a tree has at least 1 vertex")
@@ -135,18 +151,16 @@ def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
         raise NotATree(f"{m} edges for {n} vertices; a tree needs {n - 1}")
     adj.extend([] for _ in range(n - len(adj)))
 
-    # edge count is n-1, so connectivity from 0 implies tree and id coverage
-    reached = bytearray(n)
-    reached[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        for w in adj[stack.pop()]:
-            if not reached[w]:
-                reached[w] = 1
-                count += 1
-                stack.append(w)
-    if count != n:
+    # each list is sorted in place and replaced by its tuple, so the lists
+    # and the tuples are never all alive at once
+    for v, nbrs in enumerate(adj):
+        nbrs.sort()
+        adj[v] = tuple(nbrs)
+
+    # with n-1 edges, peeling removes every vertex exactly when the graph is
+    # a tree
+    peel = _peel(adj, n)
+    if peel is None:
         # n-1 edges with a self-loop or a repeated edge cannot connect n
         # vertices, so these are looked for only here; the first in edge
         # order is reported, self-loop before repeat
@@ -159,15 +173,83 @@ def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
             if key in seen:
                 raise NotATree(f"duplicate edge {key}")
             seen.add(key)
+        reached = bytearray(n)
+        reached[0] = 1
+        stack = [0]
+        count = 1
+        while stack:
+            for w in adj[stack.pop()]:
+                if not reached[w]:
+                    reached[w] = 1
+                    count += 1
+                    stack.append(w)
         raise NotATree(f"disconnected: {count} of {n} vertices reachable from 0")
     del ends[:]
+    tree = Tree(n, tuple(adj))
+    tree._peel = peel
+    return tree
 
-    # each list is sorted in place and replaced by its tuple, so the lists
-    # and the tuples are never all alive at once
-    for v, nbrs in enumerate(adj):
-        nbrs.sort()
-        adj[v] = tuple(nbrs)
-    return Tree(n, tuple(adj))
+
+def _peel(adjacency: Sequence[tuple[int, ...]], n: int) -> Peel | None:
+    """Remove every leaf, round after round, until one vertex or one edge
+    is left: the center.  Returns the center, each vertex's parent (the
+    neighbour still present when it is removed; -1 at the center) and its
+    height (the round in which it is removed, 0 for leaves; the last round
+    at the center), or None when a round finds no leaf: with n-1 edges,
+    exactly when the graph is not a tree."""
+    parent = array("i", [-1]) * n
+    height = array("i", bytes(4 * n))
+    if n <= 1:
+        return tuple(range(n)), parent, height
+    deg = list(map(len, adjacency))
+    layer = [v for v, d in enumerate(deg) if d == 1]
+    removed = len(layer)
+    rounds = 0
+    while removed < n:
+        nxt: list[int] = []
+        rounds += 1
+        for u in layer:
+            deg[u] = 0
+            # a leaf has one neighbour left, however many it had
+            for w in adjacency[u]:
+                if deg[w]:
+                    parent[u] = w
+                    d = deg[w] - 1
+                    deg[w] = d
+                    if d == 1:
+                        nxt.append(w)
+                        height[w] = rounds
+                    break
+        if not nxt:
+            return None
+        removed += len(nxt)
+        layer = nxt
+    return tuple(sorted(layer)), parent, height
+
+
+#: The text that format_edge_list, `treedist gen` and the benchmark write:
+#: an optional "# n=K" first line, then "u v" lines of ASCII digits, one
+#: space between, each ending in a newline.  The ids have no leading zero
+#: and at most 18 digits, so each is a JSON number that fits a machine int.
+#: The lines repeat possessively: a backtracking repeat would keep a state
+#: per line.
+_ID = "(?:0|[1-9][0-9]{0,17})"
+_CANONICAL = rf"(?:# n=([1-9][0-9]{{0,17}})\n)?(?:{_ID} {_ID}\n)*+"
+#: Canonical text is converted this many characters at a time, cut at a
+#: newline, so the whole text is never split at once.
+_CHUNK = 1 << 16
+#: Turns a chunk of canonical lines into the body of a JSON array.
+_TO_JSON = str.maketrans(" \n", ",,")
+
+
+@cache
+def _canonical_form() -> re.Pattern | None:
+    """_CANONICAL compiled on first use; None before Python 3.11, which has
+    no possessive repeats, and where every text is read line by line."""
+    try:
+        return re.compile(_CANONICAL)
+    except re.error:
+        return None
 
 
 def parse_edge_list(text: str) -> Tree:
@@ -176,8 +258,21 @@ def parse_edge_list(text: str) -> Tree:
     Blank lines and '#' comments are ignored, except that a comment of the
     form "# n=K" pins the vertex count (the only way to express the
     single-vertex tree, which has no edges); K must be an integer of at
-    least 1.
+    least 1.  Canonical text (see _CANONICAL) is proved so by one regular
+    expression match and converted in bulk, as JSON; any other text is read
+    line by line, with the same result.
     """
+    form = _canonical_form()
+    match = None if form is None else form.fullmatch(text)
+    if match is not None:
+        ends = array("q")
+        head = match.group(1)
+        pos = match.end(1) + 1 if head else 0
+        while pos < len(text):
+            cut = text.rfind("\n", pos, pos + _CHUNK) + 1 if pos + _CHUNK < len(text) else len(text)
+            ends.fromlist(json.loads("[" + text[pos : cut - 1].translate(_TO_JSON) + "]"))
+            pos = cut
+        return _tree_from_ends(ends, int(head) if head else None)
     ends = array("q")
     append = ends.append
     declared_n: int | None = None
@@ -239,25 +334,16 @@ def max_valence(tree: Tree) -> int:
 
 def center(tree: Tree) -> tuple[int, ...]:
     """Center by repeated leaf peeling: the sorted tuple of the one vertex or
-    the two endpoints of the one edge that remain."""
-    n = tree.n
-    if n <= 2:
-        return tuple(range(n))
-    deg = list(map(len, tree.adjacency))
-    layer = [v for v in range(n) if deg[v] == 1]
-    removed = len(layer)
-    while removed < n:
-        nxt: list[int] = []
-        for u in layer:
-            deg[u] = 0
-            for w in tree.adjacency[u]:
-                if deg[w] > 0:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        removed += len(nxt)
-        layer = nxt
-    return tuple(sorted(layer))
+    the two endpoints of the one edge that remain.  A Tree built by
+    tree_from_edges, parse_edge_list or random_tree was peeled when it was
+    validated; any other is peeled here, and keeps the peel for its view."""
+    peel = tree.__dict__.get("_peel")
+    if peel is None:
+        peel = _peel(tree.adjacency, tree.n)
+        if peel is None:
+            raise NotATree("leaf peeling stalls: the graph has a cycle or is disconnected")
+        tree._peel = peel
+    return peel[0]
 
 
 class RootedView:
@@ -268,6 +354,10 @@ class RootedView:
     half.  Children lists are ascending by vertex id; every traversal in the
     library derives its determinism from that ordering.  heights[u] is the
     greatest distance from u to a leaf of its own subtree, 0 at leaves.
+
+    At the center of a Tree that keeps its peel (see center), the parents
+    and heights come from the peel, which the Tree then drops; at any other
+    root a breadth-first search finds them.
     """
 
     def __init__(self, tree: Tree, roots: tuple[int, ...]):
@@ -276,38 +366,72 @@ class RootedView:
         n = tree.n
         adjacency = tree.adjacency
         parent: list[int | None] = [None] * n
-        depth = [-1] * n
         # every leaf shares the one empty tuple
         children: list[tuple[int, ...]] = [()] * n
-        for r in self.roots:
-            depth[r] = 0
-        # breadth-first: order doubles as the queue; both ends of a central
-        # edge start at depth 0, so the edge between them is never followed
+        # breadth-first: order doubles as the queue
         order = list(self.roots)
-        for u in order:
-            kids = tuple([w for w in adjacency[u] if depth[w] < 0])
-            if kids:
-                below = depth[u] + 1
-                for w in kids:
-                    depth[w] = below
-                    parent[w] = u
-                children[u] = kids
-                order.extend(kids)
-        heights = [0] * n
-        for u in reversed(order):
-            p = parent[u]
-            if p is not None and heights[p] <= heights[u]:
-                heights[p] = heights[u] + 1
+        peel = tree.__dict__.get("_peel")
+        if peel is not None and peel[0] == self.roots:
+            tree.__dict__.pop("_peel", None)
+            _, above, heights = peel
+            # a root's children are its neighbours but the other root; any
+            # other vertex's are its neighbours but its parent, whose int
+            # object the adjacency tuple already holds
+            for r in self.roots:
+                nbrs = adjacency[r]
+                if len(self.roots) == 2:
+                    i = nbrs.index(self.roots[1] if r == self.roots[0] else self.roots[0])
+                    nbrs = nbrs[:i] + nbrs[i + 1 :]
+                children[r] = nbrs
+                order.extend(nbrs)
+            for u in islice(order, len(self.roots), None):
+                nbrs = adjacency[u]
+                if len(nbrs) == 1:
+                    parent[u] = nbrs[0]
+                else:
+                    i = nbrs.index(above[u])
+                    parent[u] = nbrs[i]
+                    kids = nbrs[:i] + nbrs[i + 1 :]
+                    children[u] = kids
+                    order.extend(kids)
+        else:
+            # both ends of a central edge start out seen, so the edge
+            # between them is never followed
+            seen = bytearray(n)
+            for r in self.roots:
+                seen[r] = 1
+            for u in order:
+                kids = tuple([w for w in adjacency[u] if not seen[w]])
+                if kids:
+                    for w in kids:
+                        seen[w] = 1
+                        parent[w] = u
+                    children[u] = kids
+                    order.extend(kids)
+            del seen
+            heights = [0] * n
+            for u in reversed(order):
+                p = parent[u]
+                if p is not None and heights[p] <= heights[u]:
+                    heights[p] = heights[u] + 1
         # one list at a time becomes its tuple and is dropped
         self.parent = tuple(parent)
         del parent
-        self.depth = tuple(depth)
-        del depth
         self.children = tuple(children)
         del children
         self.order = tuple(order)
         del order
         self.heights = tuple(heights)
+
+    @cached_property
+    def depth(self) -> tuple[int, ...]:
+        """Each vertex's distance from its root, built on first access: no
+        library code reads it."""
+        depth = [0] * self.tree.n
+        parent = self.parent
+        for u in islice(self.order, len(self.roots), None):
+            depth[u] = depth[parent[u]] + 1
+        return tuple(depth)
 
     def subtree(self, u: int) -> list[int]:
         """u together with all of its descendants, in preorder."""

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's canonical-code machinery:
 brute_force_automorphisms filters raw permutations, bfs_dist is a plain BFS,
 and prufer_tree enumerates labeled trees directly, so library results are
 checked against genuinely separate computations.  The reference_* functions
-are the straightforward versions of the parser, validator and rooting that the
-library's tuned versions must match exactly, errors included.
+are the straightforward versions of the parser, validator, center and rooting
+that the library's tuned versions must match exactly, errors included;
+reference_orbits is fix_report's orbit numbering as first written.
 
 reference_distinguishing_number is the plain scan over d = 1, 2, 3, ... that
 the library's galloping search must match, NotFoundWithinMax included.
@@ -276,6 +277,41 @@ def reference_parse_edge_list(text: str) -> Tree:
     return reference_tree_from_edges(edges, n=declared_n)
 
 
+def reference_center(tree: Tree) -> tuple[int, ...]:
+    """center as first written: leaf peeling over a degree list, on its own,
+    after the tree is built."""
+    n = tree.n
+    if n <= 2:
+        return tuple(range(n))
+    deg = list(map(len, tree.adjacency))
+    layer = [v for v in range(n) if deg[v] == 1]
+    removed = len(layer)
+    while removed < n:
+        nxt: list[int] = []
+        for u in layer:
+            deg[u] = 0
+            for w in tree.adjacency[u]:
+                if deg[w] > 0:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        removed += len(nxt)
+        layer = nxt
+    return tuple(sorted(layer))
+
+
+def spider_tree(legs: int, length: int) -> Tree:
+    """`legs` paths of `length` edges each, joined at vertex 0."""
+    edges = []
+    for leg in range(legs):
+        prev = 0
+        for i in range(length):
+            v = 1 + leg * length + i
+            edges.append((prev, v))
+            prev = v
+    return tree_from_edges(edges, n=1 + legs * length)
+
+
 def reference_view_fields(tree: Tree, roots: tuple[int, ...]) -> dict:
     """The fields of RootedView(tree, roots) as first computed: a deque BFS
     that skips the edge between two roots explicitly, and heights as the
@@ -314,6 +350,35 @@ def reference_view_fields(tree: Tree, roots: tuple[int, ...]) -> dict:
         "order": tuple(order),
         "heights": tuple(heights),
     }
+
+
+def reference_orbits(rv, labels: list[int]) -> tuple[int, ...]:
+    """fix_report's orbit ids as first computed: every child keyed by its
+    parent's orbit and its label, in one table for unfixed parents and in a
+    fresh one per fixed parent, leaves included."""
+    orbit = [-1] * rv.tree.n
+    sizes: list[int] = []
+    if len(rv.roots) == 2 and labels[rv.roots[0]] == labels[rv.roots[1]]:
+        orbit[rv.roots[0]] = orbit[rv.roots[1]] = 0
+        sizes.append(2)
+    else:
+        for r in rv.roots:
+            orbit[r] = len(sizes)
+            sizes.append(1)
+    shared: dict[tuple[int, int], int] = {}
+    for u in rv.order:
+        o = orbit[u]
+        groups = shared if sizes[o] > 1 else {}
+        for w in rv.children[u]:
+            key = (o, labels[w])
+            x = groups.get(key)
+            if x is None:
+                groups[key] = x = len(sizes)
+                sizes.append(1)
+            else:
+                sizes[x] += 1
+            orbit[w] = x
+    return tuple(orbit)
 
 
 @dataclass(frozen=True)

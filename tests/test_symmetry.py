@@ -168,6 +168,16 @@ class TestFixReport:
             expected *= 2
         assert fix_report(t, coloring).aut_count == expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=totally_colored_trees())
+    def test_orbit_ids_match_reference(self, case):
+        # leaves skipped, a fixed parent's only child numbered directly and a
+        # fixed parent's children keyed by label alone: the same orbit ids
+        t, coloring = case
+        rv = t.centered
+        expected = helpers.reference_orbits(rv, canonical_labels(rv, coloring.colors))
+        assert fix_report(t, coloring).orbit == expected
+
     @pytest.mark.parametrize("spine", [2, 3, 4, 7, 40, 41])
     def test_caterpillar_aut_count(self, spine):
         # every spine vertex permutes its 6 legs freely, and the spine can be
@@ -223,6 +233,68 @@ class TestFixReport:
                     for b in range(t.n):
                         if after.orbit[a] == after.orbit[b]:
                             assert (a, b) in pairs_before
+
+
+def _old_range_check(num_colors, colors):
+    """Coloring's per-vertex range check as first written: the error
+    message, or None when it accepts."""
+    for v, c in enumerate(colors):
+        if c != UNCOLORED and not 0 <= c < num_colors:
+            return f"vertex {v} has color {c}, not in 0..{num_colors - 1}"
+    return None
+
+
+class TestColoringValidation:
+    @pytest.mark.parametrize(
+        "colors, message",
+        [
+            ((0, 0.5, True), "vertex 1 has color 0.5, not an integer"),
+            ((0, True), "vertex 1 has color True, not an integer"),
+            ((False,), "vertex 0 has color False, not an integer"),
+            ((0, 1.0), "vertex 1 has color 1.0, not an integer"),
+            (("1",), "vertex 0 has color '1', not an integer"),
+            ((0, 1, None), "vertex 2 has color None, not an integer"),
+            ((0, 7, 1.5), "vertex 2 has color 1.5, not an integer"),
+        ],
+    )
+    def test_rejects_non_integers(self, colors, message):
+        with pytest.raises(BadParams) as exc:
+            Coloring(2, colors)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "num_colors, colors, message",
+        [
+            (2, (0, 2), "vertex 1 has color 2, not in 0..1"),
+            (2, (0, 1, -2), "vertex 2 has color -2, not in 0..1"),
+            (3, (5, 0, 7), "vertex 0 has color 5, not in 0..2"),
+            (1, (UNCOLORED, 0, 1), "vertex 2 has color 1, not in 0..0"),
+        ],
+    )
+    def test_out_of_range_message(self, num_colors, colors, message):
+        with pytest.raises(BadParams) as exc:
+            Coloring(num_colors, colors)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("num_colors, colors", [(2, ()), (1, (UNCOLORED, 0)), (3, (2, 1, 0, UNCOLORED))])
+    def test_accepts(self, num_colors, colors):
+        assert Coloring(num_colors, colors).colors == colors
+
+    @settings(max_examples=300, deadline=None)
+    @given(num_colors=st.integers(1, 4), colors=st.lists(st.integers(-3, 5), max_size=12))
+    def test_range_check_matches_per_vertex_check(self, num_colors, colors):
+        expected = _old_range_check(num_colors, colors)
+        try:
+            Coloring(num_colors, tuple(colors))
+        except BadParams as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+
+    def test_json_colors_become_ints(self):
+        coloring = Coloring.from_json_dict({"num_colors": 2, "colors": [0, True, 1]})
+        assert coloring.colors == (0, 1, 1)
+        assert set(map(type, coloring.colors)) == {int}
 
 
 class TestFixReportPeakMemory:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+from array import array
 
 import mpmath
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from treedist import (
     RootedView,
+    Tree,
     center,
     fix_radius,
     format_edge_list,
@@ -26,6 +28,7 @@ from treedist.errors import (
     NotATree,
     VertexOutOfRange,
 )
+from treedist.tree_core import _canonical_form
 
 import helpers
 
@@ -119,6 +122,15 @@ class TestParseEdgeList:
         assert again == t
 
 
+def _arrays_on(tree):
+    """The attributes of tree that are arrays or tuples holding one."""
+    return [
+        name
+        for name, value in vars(tree).items()
+        if any(isinstance(x, array) for x in (value if isinstance(value, tuple) else (value,)))
+    ]
+
+
 class TestPeakMemory:
     """A step's tracemalloc peak against what it keeps, on
     helpers.memory_probe_tree(): ratios hold across Python versions where
@@ -131,10 +143,33 @@ class TestPeakMemory:
     then a tuple copy of each); today it reads about 1.1."""
 
     def test_parse(self):
+        # the tree keeps its peel only until its view is built, so the peel
+        # is dropped before `kept` is read: it may not loosen the ratio
         text = format_edge_list(helpers.memory_probe_tree())
-        tree, peak, kept = helpers.traced_peak(lambda: parse_edge_list(text))
+
+        def parse_without_peel():
+            tree = parse_edge_list(text)
+            del tree._peel
+            return tree
+
+        tree, peak, kept = helpers.traced_peak(parse_without_peel)
         assert tree == helpers.memory_probe_tree()
         assert peak < 1.8 * kept, (peak, kept)
+
+    @pytest.mark.parametrize("build", ["parse", "random_tree", "direct"])
+    def test_no_peel_left_once_centered(self, build):
+        probe = helpers.memory_probe_tree()
+        if build == "parse":
+            tree = parse_edge_list(format_edge_list(probe))
+        elif build == "random_tree":
+            tree = random_tree(2000, 5, 1)
+        else:
+            tree = Tree(probe.n, probe.adjacency)
+            center(tree)
+        assert _arrays_on(tree)
+        tree.centered
+        assert sorted(vars(tree)) == ["adjacency", "centered", "n"]
+        assert not _arrays_on(tree)
 
     def test_one_int_object_per_vertex(self):
         tree = parse_edge_list(format_edge_list(helpers.memory_probe_tree()))
@@ -185,6 +220,12 @@ class TestCenter:
             if len(loc) == 2:
                 a, b = loc
                 assert b in t.adjacency[a]
+
+    def test_not_a_tree_built_directly(self):
+        # a bare Tree is not validated; its peel stalls instead of looping
+        cycle = Tree(3, ((1, 2), (0, 2), (0, 1)))
+        with pytest.raises(NotATree, match="peeling stalls"):
+            center(cycle)
 
 
 class TestRootAt:
@@ -269,6 +310,38 @@ class TestCentered:
         assert "centered" not in repr(t)
 
 
+#: How a test tree is built: by random_tree or tree_from_edges (peeled as
+#: it is validated), parsed from canonical text, or as a bare Tree (peeled
+#: only when center() is called).
+SOURCES = ("built", "parsed", "direct")
+
+
+def _rebuilt(tree, source):
+    if source == "parsed":
+        return parse_edge_list(format_edge_list(tree))
+    if source == "direct":
+        return Tree(tree.n, tree.adjacency)
+    return tree
+
+
+NAMED_TREES = {
+    "single": lambda: tree_from_edges([], n=1),
+    "edge": lambda: helpers.path_tree(2),
+    "path3": lambda: helpers.path_tree(3),
+    "path8": lambda: helpers.path_tree(8),
+    "path9": lambda: helpers.path_tree(9),
+    "star1": lambda: helpers.star_tree(1),
+    "star5": lambda: helpers.star_tree(5),
+    "spider3x4": lambda: helpers.spider_tree(3, 4),
+    "spider2x3": lambda: helpers.spider_tree(2, 3),
+    "caterpillar": lambda: helpers.caterpillar_tree(6, 2),
+    **{
+        f"fixture_{path.stem}": (lambda path=path: parse_edge_list(path.read_text()))
+        for path in helpers.FIXTURES.glob("*.tree")
+    },
+}
+
+
 def _outcome(build, *args):
     """A built tree, or the type and message of the error raised instead."""
     try:
@@ -323,8 +396,13 @@ TOKENS = ("0", "1", "2", "3", "7", "-1", "x", "+2", "1_0", "#", "# n=3", "# n=x"
 
 @st.composite
 def edge_list_texts(draw):
-    """Edge-list text: a tree's lines with stray tokens, blank and comment
-    lines, `# n=` headers (some malformed) and mixed line endings."""
+    """Edge-list text: a third exactly as format_edge_list writes it (the
+    parser's bulk path), the rest a tree's lines with stray tokens, blank
+    and comment lines, `# n=` headers (some malformed) and mixed line
+    endings."""
+    if draw(st.integers(0, 2)) == 0:
+        n, k, seed = draw(st.integers(1, 14)), draw(st.integers(2, 5)), draw(st.integers(0, 10**6))
+        return format_edge_list(random_tree(n, k, seed))
     edges, _ = draw(edge_lists())
     gaps = st.sampled_from([" ", "  ", "\t"])
     lines = [str(u) + draw(gaps) + str(v) for u, v in edges]
@@ -360,16 +438,94 @@ class TestAgainstReference:
             ([(0, 1), (2, 2), (1, 0)], 4, "self-loop at 2"),
             ([(0, 1), (2, 3), (3, 2)], None, "duplicate edge (2, 3)"),
             ([(0, 1), (2, 3), (3, 4), (2, 4)], None, "disconnected: 2 of 5 vertices reachable from 0"),
+            # n-1 edges: a cycle and a detached path, either holding vertex 0
+            ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)], None, "disconnected: 3 of 6 vertices reachable from 0"),
+            ([(3, 4), (0, 1), (2, 5), (1, 3), (5, 6), (6, 2)], None, "disconnected: 4 of 7 vertices reachable from 0"),
+            # a self-loop or a repeated edge first, in the middle and last
+            ([(2, 2), (0, 1), (1, 2)], 4, "self-loop at 2"),
+            ([(0, 1), (3, 3), (1, 2)], 4, "self-loop at 3"),
+            ([(0, 1), (1, 2), (2, 2)], 4, "self-loop at 2"),
+            ([(1, 0), (0, 1), (1, 2)], 4, "duplicate edge (0, 1)"),
+            ([(0, 1), (2, 1), (1, 2), (3, 4)], 5, "duplicate edge (1, 2)"),
+            ([(0, 1), (1, 2), (3, 4), (4, 3)], 5, "duplicate edge (3, 4)"),
         ],
     )
     def test_first_error_in_edge_order(self, edges, n, message):
         # self-loops and repeats are reported as the first of them in edge
         # order, self-loop before repeat, even though they are looked for
-        # only once the graph is found disconnected
+        # only once leaf peeling has stalled
         with pytest.raises(NotATree) as exc:
             tree_from_edges(edges, n)
         assert str(exc.value) == message
         assert _outcome(helpers.reference_tree_from_edges, edges, n) == (NotATree, message)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # canonical: the bulk path
+            "",
+            "# n=1\n",
+            "# n=2\n",
+            "0 1\n",
+            "# n=3\n0 1\n1 2\n",
+            "# n=3\n1 0\n2 1\n",
+            "# n=4\n0 1\n1 2\n",
+            "0 1\n1 0\n1 2\n2 3\n",
+            "0 0\n0 1\n",
+            "0 1\n1 2\n2 0\n",
+            "0 1\n1 3\n3 4\n",
+            "# n=2\n0 2000000\n",
+            f"0 1\n1 {10**18 - 1}\n",
+            # one step off the canonical form: the line-by-line path
+            "# n=3\r\n0 1\r\n1 2\r\n",
+            "0 1\r1 2\n",
+            "0\t1\n1 2\n",
+            "0  1\n1 2\n",
+            "0 1 \n1 2\n",
+            " 0 1\n1 2\n",
+            "0 1\n1 2",
+            "0 1\n\n1 2\n",
+            "00 1\n1 2\n",
+            "0 01\n1 2\n",
+            "0 +1\n1 2\n",
+            "0 1_0\n",
+            "0 \u0661\n1 2\n",
+            "0 \uff11\n",
+            f"0 1\n1 {2**63}\n",
+            f"0 1\n1 {10**18}\n",
+            f"0 {10**30}\n",
+            "0 -1\n",
+            "# n=0\n",
+            "# n=00\n0 1\n",
+            "# n=x\n0 1\n",
+            "#n=2\n0 1\n",
+            "# n=2 \n0 1\n",
+            "0 1\n# n=2\n",
+            "0 1\n# note\n1 2\n",
+            "# n=3\n# n=3\n0 1\n1 2\n",
+            "0 1\n1 2\n\x0c",
+        ],
+    )
+    def test_parse_at_the_canonical_boundary(self, text):
+        assert _outcome(parse_edge_list, text) == _outcome(helpers.reference_parse_edge_list, text)
+
+    def test_canonical_form_is_what_is_written(self):
+        # format_edge_list output, fixtures included, takes the bulk path,
+        # and nothing the form excludes does
+        for tree in [random_tree(300, 4, 2), *(f() for f in NAMED_TREES.values())]:
+            assert _canonical_form().fullmatch(format_edge_list(tree))
+        for text in ["0 1", "0 01\n", "# n=0\n", f"{2**63} 0\n", "1 2\r\n", "0 1\n# n=2\n", "0 \u0661\n"]:
+            assert not _canonical_form().fullmatch(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=edge_lists())
+    def test_parse_canonical_lines(self, case):
+        # broken trees in the canonical form: the bulk path's errors are
+        # the line-by-line path's
+        edges, declared = case
+        head = "" if declared is None else f"# n={declared}\n"
+        text = head + "".join(f"{u} {v}\n" for u, v in edges)
+        assert _outcome(parse_edge_list, text) == _outcome(helpers.reference_parse_edge_list, text)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -378,9 +534,15 @@ class TestAgainstReference:
         seed=st.integers(0, 10**6),
         pick=st.integers(0, 10**6),
         kind=st.sampled_from(["center", "vertex", "edge"]),
+        source=st.sampled_from(SOURCES),
     )
-    def test_rooted_view_fields(self, n, k, seed, pick, kind):
-        t = random_tree(n, k, seed)
+    def test_rooted_view_fields(self, n, k, seed, pick, kind, source):
+        t = _rebuilt(random_tree(n, k, seed), source)
+        # the center-rooted view comes from the peel that validated the tree
+        # (or, built directly, from the one center() runs), the others from
+        # a breadth-first search
+        expected = helpers.reference_view_fields(t, helpers.reference_center(t))
+        assert {name: getattr(t.centered, name) for name in VIEW_FIELDS} == expected
         if kind == "center":
             roots = center(t)
         elif kind == "vertex" or n == 1:
@@ -390,6 +552,15 @@ class TestAgainstReference:
             roots = (v, u)
         rv = RootedView(t, roots)
         assert {name: getattr(rv, name) for name in VIEW_FIELDS} == helpers.reference_view_fields(t, roots)
+
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("name", sorted(NAMED_TREES))
+    def test_centered_view_of_named_trees(self, name, source):
+        t = _rebuilt(NAMED_TREES[name](), source)
+        assert center(t) == helpers.reference_center(t)
+        expected = helpers.reference_view_fields(t, helpers.reference_center(t))
+        assert {field: getattr(t.centered, field) for field in VIEW_FIELDS} == expected
 
 
 class TestSubtree:
