@@ -30,9 +30,7 @@ from .symmetry import (
     distinguishing_number,
     enumerate_automorphisms,
     fix_report,
-    is_distinguishing,
     structural_codes,
-    unfixed_vertices,
 )
 from .tree_core import (
     RootedView,

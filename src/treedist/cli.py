@@ -52,8 +52,10 @@ def read_tree(path: str) -> Tree:
 
 
 def _dot_lines(tree: Tree, coloring: Coloring | None = None, trace: ColoringTrace | None = None) -> Iterator[str]:
-    """The lines of render_dot, each ending in a newline; cmd_color writes
-    them as they are made, so the whole text is never held at once."""
+    """Graphviz rendering, one line at a time, each ending in a newline:
+    vertices filled by color index (8-entry palette, cycling), main-line
+    edges drawn with penwidth 2.  cmd_color writes the lines as they are
+    made, so the whole text is never held at once."""
     bold = set()
     if trace is not None:
         for line in trace.main_lines:
@@ -74,12 +76,6 @@ def _dot_lines(tree: Tree, coloring: Coloring | None = None, trace: ColoringTrac
                 attr = " [penwidth=2]" if (u, v) in bold else ""
                 yield f"  {u} -- {v}{attr};\n"
     yield "}\n"
-
-
-def render_dot(tree: Tree, coloring: Coloring | None = None, trace: ColoringTrace | None = None) -> str:
-    """Graphviz rendering as one string: vertices filled by color index
-    (8-entry palette, cycling), main-line edges drawn with penwidth 2."""
-    return "".join(_dot_lines(tree, coloring, trace))
 
 
 def render_radius_table(c_max: int = 7, k_max: int = 16) -> str:
@@ -220,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treedist",
         description="Symmetry-breaking colorings of finite trees and their verification. "
-        "No subcommand caps the tree size; the only budget is TREEDIST_BUDGET, "
-        "the automorphism enumeration limit (default 10^6), which no subcommand reaches.",
+        "No subcommand caps the tree size or spends an enumeration budget.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -246,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree")
     p.add_argument("--coloring", required=True, help="coloring JSON file")
     p.add_argument("--report", action="store_true", help="print the raw orbit report instead")
-    # ignored, as is dnumber's --size-guard; deleted once ROADMAP item 8 drops both from the benchmark
+    # ignored, as is dnumber's --size-guard; deleted once ROADMAP item 4 drops both from the benchmark
     p.add_argument("--max-n", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 

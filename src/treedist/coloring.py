@@ -15,8 +15,6 @@ vertex id everywhere, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import BadParams, BadSpine, IndexOverflow, NotRegularProfile
 from .symmetry import UNCOLORED, Coloring, canonical_labels, structural_codes
 from .tree_core import Record, RootedView, Tree, max_valence, root_at
@@ -138,13 +136,17 @@ class ColoringTrace(Record):
         }
 
 
-def _extend_sibling_distinct(rv: RootedView, top: int, colors: list[int], palette_size: int) -> None:
-    """Below `top`, give every vertex's children pairwise different colors,
+def _fill_sibling_distinct(rv: RootedView, colors: list[int], palette_size: int) -> None:
+    """Give every child that is still UNCOLORED its index among its siblings
+    as its color, in one pass over the view: below the vertices colored
+    beforehand, every vertex's children get pairwise different colors,
     ascending ids mapped to ascending colors."""
-    for u in rv.subtree(top):
-        for i, w in enumerate(rv.children[u]):
-            assert i < palette_size, "sibling group exceeds palette"
-            colors[w] = i
+    children = rv.children
+    for u in rv.order:
+        for i, w in enumerate(children[u]):
+            if colors[w] == UNCOLORED:
+                assert i < palette_size, "sibling group exceeds palette"
+                colors[w] = i
 
 
 def _longest_descent(rv: RootedView, v: int) -> list[int]:
@@ -198,12 +200,9 @@ def color_tree(
     trace = ColoringTrace(rules=[""] * n)
     rules = trace.rules
 
-    if len(rv.roots) == 1:
-        colors[rv.roots[0]] = 0
-    else:
-        colors[rv.roots[0]] = 1
-        colors[rv.roots[1]] = 0
-    for r in rv.roots:
+    # a lone root gets 0, the two roots of an edge center 1 and 0
+    for i, r in enumerate(reversed(rv.roots)):
+        colors[r] = i
         rules[r] = "root"
 
     shape: list[int] | None = None  # structural labels, computed on first need
@@ -350,14 +349,11 @@ def _color_all_distinct(
     rv = tree.centered if root is None else root_at(tree, root)
     colors = [UNCOLORED] * tree.n
     rules = ["lemma"] * tree.n
-    if len(rv.roots) == 1:
-        colors[rv.roots[0]] = 0
-    else:
-        colors[rv.roots[0]] = 1
-        colors[rv.roots[1]] = 0
-    for r in rv.roots:
+    # the roots as in color_tree
+    for i, r in enumerate(reversed(rv.roots)):
+        colors[r] = i
         rules[r] = "root"
-        _extend_sibling_distinct(rv, r, colors, num_colors)
+    _fill_sibling_distinct(rv, colors, num_colors)
     return Coloring(num_colors, tuple(colors)), ColoringTrace(rules=rules)
 
 
@@ -379,7 +375,7 @@ def color_anchored(tree: Tree, anchor: int, max_degree: int | None = None) -> Co
     rv = root_at(tree, anchor)
     colors = [UNCOLORED] * tree.n
     colors[anchor] = 0
-    _extend_sibling_distinct(rv, anchor, colors, num)
+    _fill_sibling_distinct(rv, colors, num)
     return Coloring(num, tuple(colors))
 
 
@@ -401,30 +397,24 @@ def color_near_distinguishing(tree: Tree) -> Coloring:
     num = max(k - 1, 1)
     rv = tree.centered
     colors = [UNCOLORED] * n
+    nbrs: tuple[int, ...] = ()
     if len(rv.roots) == 1:
         v = rv.roots[0]
         colors[v] = 0
         nbrs = rv.children[v]
         for i, x in enumerate(nbrs):
             colors[x] = i % num
-        for x in nbrs:
-            _extend_sibling_distinct(rv, x, colors, num)
-        if len(nbrs) == num + 1 and num >= 2:
-            # full-valence center: first and last neighbor share color 0
-            twin_a, twin_b = nbrs[0], nbrs[num]
-            label_a, label_b = canonical_labels(rv, colors, (twin_a, twin_b))
-            if label_a == label_b:
-                if rv.children[twin_b]:
-                    _retint_one_leaf(rv, colors, num, twin_b)
-                # two bare sibling leaves stay as the allowed exceptional pair
     else:
         a, b = rv.roots
-        if num >= 2:
-            colors[a], colors[b] = 0, 1
-        else:
-            colors[a] = colors[b] = 0
-        for r in (a, b):
-            _extend_sibling_distinct(rv, r, colors, num)
+        colors[a], colors[b] = 0, 1 % num
+    _fill_sibling_distinct(rv, colors, num)
+    if len(nbrs) == num + 1 and num >= 2:
+        # full-valence center: first and last neighbor share color 0
+        twin_a, twin_b = nbrs[0], nbrs[num]
+        label_a, label_b = canonical_labels(rv, colors, (twin_a, twin_b))
+        if label_a == label_b and rv.children[twin_b]:
+            _retint_one_leaf(rv, colors, num, twin_b)
+        # two bare sibling leaves stay as the allowed exceptional pair
     return Coloring(num, tuple(colors))
 
 
@@ -532,37 +522,24 @@ def color_spine(tree: Tree, spine: list[int], max_degree: int | None = None) -> 
             )
         for i, x in enumerate(offline):
             colors[x] = off_palette[i]
-        for x in offline:
-            _extend_sibling_distinct(rv, x, colors, num)
+    _fill_sibling_distinct(rv, colors, num)
     assert UNCOLORED not in colors
     return Coloring(num, tuple(colors))
 
 
 def longest_spine(tree: Tree) -> list[int]:
     """A longest path in the tree, as a vertex list starting at a leaf;
-    deterministic via smallest-id tie-breaks."""
-    if tree.n == 1:
-        return [0]
+    deterministic via smallest-id tie-breaks: a is the vertex farthest from
+    0, b the one farthest from a, and the path runs from a to b."""
 
-    def farthest(src: int) -> tuple[int, list[int]]:
-        dist = [-1] * tree.n
-        parent = [-1] * tree.n
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in tree.adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-        best = max(range(tree.n), key=lambda v: (dist[v], -v))
-        return best, parent
+    def farthest(rv: RootedView) -> int:
+        depth = rv.depth
+        return max(range(tree.n), key=lambda v: (depth[v], -v))
 
-    a, _ = farthest(0)
-    b, parent = farthest(a)
-    path = [b]
+    a = farthest(root_at(tree, 0))
+    rv = root_at(tree, a)
+    path = [farthest(rv)]
     while path[-1] != a:
-        path.append(parent[path[-1]])
+        path.append(rv.parent[path[-1]])
     path.reverse()
     return path

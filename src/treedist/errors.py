@@ -41,7 +41,7 @@ class PartialColoring(TreedistError):
 
 
 class BudgetExceeded(TreedistError):
-    """Automorphism enumeration found more permutations than its limit or TREEDIST_BUDGET allows."""
+    """Automorphism enumeration found more permutations than its limit allows."""
 
 
 class NotFoundWithinMax(TreedistError):

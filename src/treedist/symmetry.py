@@ -23,7 +23,6 @@ on one that fails, which only a wrong search can produce.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
@@ -32,19 +31,8 @@ from .tree_core import Record, RootedView, Tree
 
 UNCOLORED = -1
 
-#: Default cap on explicitly enumerated automorphisms; the TREEDIST_BUDGET
-#: environment variable overrides it.
+#: Default cap on explicitly enumerated automorphisms.
 DEFAULT_AUT_LIMIT = 10**6
-
-
-def oracle_budget() -> int:
-    raw = os.environ.get("TREEDIST_BUDGET")
-    if raw is None:
-        return DEFAULT_AUT_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadParams(f"TREEDIST_BUDGET must be an integer, got {raw!r}") from None
 
 
 class Coloring(Record):
@@ -53,6 +41,8 @@ class Coloring(Record):
     __slots__ = _fields = ("num_colors", "colors")
 
     def __init__(self, num_colors: int, colors: tuple[int, ...]):
+        if type(num_colors) is not int:
+            raise BadParams(f"num_colors {num_colors!r} is not an integer")
         if num_colors < 1:
             raise BadParams("num_colors must be >= 1")
         # whole-tuple checks first; the first bad vertex is looked for only
@@ -76,10 +66,11 @@ class Coloring(Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Coloring":
+        """Values are taken as they are: __init__ refuses 1.7, "1" or true."""
         try:
-            num_colors = int(data["num_colors"])
-            colors = tuple(map(int, data["colors"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
+            num_colors = data["num_colors"]
+            colors = tuple(data["colors"])
+        except (KeyError, TypeError) as exc:
             raise BadFormat(f"malformed coloring: {type(exc).__name__}: {exc}") from None
         return cls(num_colors=num_colors, colors=colors)
 
@@ -317,7 +308,7 @@ def _check_batch(tree: Tree, colors: Sequence[int], batch: list[tuple[int, ...]]
 
 
 def enumerate_automorphisms(
-    tree: Tree, coloring: Coloring, limit: int | None = None
+    tree: Tree, coloring: Coloring, limit: int = DEFAULT_AUT_LIMIT
 ) -> list[tuple[int, ...]]:
     """Sorted list of all color-preserving automorphisms as permutations.
 
@@ -326,14 +317,11 @@ def enumerate_automorphisms(
     VERIFY_BATCH at a time (see _check_batch), to be bijections that map
     edges to edges and preserve colors; a map that fails raises
     AssertionError, as only a wrong search can produce one.  Raises
-    BudgetExceeded once more than `limit` permutations are found (default:
-    the oracle budget).  The cost is bound by the output: per permutation,
-    a few list steps in the search and O(n) C-level set lookups in the
-    check.
+    BudgetExceeded once more than `limit` permutations are found.  The cost
+    is bound by the output: per permutation, a few list steps in the search
+    and O(n) C-level set lookups in the check.
     """
     _require_total(tree, coloring)
-    if limit is None:
-        limit = oracle_budget()
     n = tree.n
     cols = coloring.colors
     adjacency = tree.adjacency
@@ -387,16 +375,6 @@ def enumerate_automorphisms(
     _check_batch(tree, cols, results[len(results) - len(results) % VERIFY_BATCH :])
     results.sort()
     return results
-
-
-def is_distinguishing(tree: Tree, coloring: Coloring) -> bool:
-    """True iff only the identity preserves the coloring."""
-    return fix_report(tree, coloring).aut_count == 1
-
-
-def unfixed_vertices(tree: Tree, coloring: Coloring) -> set[int]:
-    """Vertices moved by some color-preserving automorphism."""
-    return fix_report(tree, coloring).unfixed_set()
 
 
 def _shape_classes(rv: RootedView, shape: list[int]) -> dict[int, list[tuple[int, int]]]:

@@ -75,10 +75,6 @@ class Tree(Record):
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, sorted."""
-        return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
-
     def check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise VertexOutOfRange(f"vertex {v} not in 0..{self.n - 1}")
@@ -425,8 +421,8 @@ class RootedView:
 
     @cached_property
     def depth(self) -> tuple[int, ...]:
-        """Each vertex's distance from its root, built on first access: no
-        library code reads it."""
+        """Each vertex's distance from its root, built on first access;
+        only longest_spine reads it, so no other view pays for it."""
         depth = [0] * self.tree.n
         parent = self.parent
         for u in islice(self.order, len(self.roots), None):

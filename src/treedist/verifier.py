@@ -77,11 +77,12 @@ def verify_fixing_guarantee(
 
     Runs color_tree when no coloring is supplied, then compares the
     oracle-computed fixed set against the set of vertices whose subtree
-    reaches a leaf at distance >= fix_radius(num_colors, max_valence).
+    reaches a leaf at distance >= fix_radius(num_colors, max_valence).  With
+    at least max_valence colors the radius is 0: every vertex must be fixed.
     """
     k = max_valence(tree)
-    if num_colors < 2 or num_colors > k:
-        raise BadParams(f"need 2 <= colors <= max valence, got ({num_colors}, {k})")
+    if num_colors < 2:
+        raise BadParams(f"need at least 2 colors, got {num_colors}")
     if coloring is None:
         coloring, _ = color_tree(tree, num_colors)
     report = fix_report(tree, coloring)

@@ -1,9 +1,10 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's canonical-code machinery:
-brute_force_automorphisms filters raw permutations, bfs_dist is a plain BFS,
-and prufer_tree enumerates labeled trees directly, so library results are
-checked against genuinely separate computations.  The reference_* functions
+brute_force_automorphisms filters raw permutations, bfs_dist is a plain BFS
+(reference_longest_spine runs two), and prufer_tree enumerates labeled
+trees directly, so library results are checked against genuinely separate
+computations.  The reference_* functions
 are the straightforward versions of the parser, validator, center and rooting
 that the library's tuned versions must match exactly, errors included;
 reference_orbits is fix_report's orbit numbering as first written.
@@ -53,7 +54,7 @@ from treedist.errors import (
     NotATree,
     NotFoundWithinMax,
 )
-from treedist.symmetry import _require_total, oracle_budget
+from treedist.symmetry import DEFAULT_AUT_LIMIT, _require_total
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -154,6 +155,29 @@ def bfs_dist(tree: Tree, src: int) -> list[int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def edges(tree: Tree) -> list[tuple[int, int]]:
+    """All edges as (u, v) with u < v, sorted."""
+    return [(u, v) for u in range(tree.n) for v in tree.adjacency[u] if u < v]
+
+
+def reference_longest_spine(tree: Tree) -> list[int]:
+    """longest_spine from two plain BFS passes: a is the vertex farthest
+    from 0, b the one farthest from a (smallest id on ties), and the path
+    runs from a to b."""
+    if tree.n == 1:
+        return [0]
+
+    def farthest(dist: list[int]) -> int:
+        return max(range(tree.n), key=lambda v: (dist[v], -v))
+
+    a = farthest(bfs_dist(tree, 0))
+    dist = bfs_dist(tree, a)
+    path = [farthest(dist)]
+    while path[-1] != a:
+        path.append(next(w for w in tree.adjacency[path[-1]] if dist[w] == dist[path[-1]] - 1))
+    return path[::-1]
 
 
 def prufer_tree(seq: tuple[int, ...], n: int) -> Tree:
@@ -568,14 +592,12 @@ def reference_distinguishing_number(tree: Tree, max_colors: int) -> int:
 
 
 def reference_enumerate_automorphisms(
-    tree: Tree, coloring: Coloring, limit: int | None = None
+    tree: Tree, coloring: Coloring, limit: int = DEFAULT_AUT_LIMIT
 ) -> list[tuple[int, ...]]:
     """The same BFS-order search as enumerate_automorphisms, with every
     already-mapped neighbour tested in the loop and each permutation
     re-verified on its own as it is found (one that fails is dropped)."""
     _require_total(tree, coloring)
-    if limit is None:
-        limit = oracle_budget()
     n = tree.n
     cols = coloring.colors
     adjacency = tree.adjacency

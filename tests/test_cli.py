@@ -216,6 +216,19 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["failures"]
 
+    def test_more_colors_than_valence(self, capsys, tmp_path):
+        colj = tmp_path / "coloring.json"
+        tree_path = str(FIXDIR / "path5.tree")
+        assert run(capsys, "color", "-c", "5", tree_path, "--coloring-out", str(colj))[0] == 0
+        code, out, _ = run(capsys, "verify", tree_path, "--coloring", str(colj))
+        assert (code, json.loads(out)["failures"]) == (0, [])
+        data = json.loads(colj.read_text())
+        data["colors"] = [0, 1, 2, 1, 0]  # the path may still be reversed
+        colj.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", tree_path, "--coloring", str(colj))
+        assert code == 1
+        assert json.loads(out)["failures"][0]["witness"] == {"unfixed_but_guaranteed": [0, 1, 3, 4]}
+
     def test_partial_coloring_exit2(self, capsys, tmp_path):
         colj = tmp_path / "coloring.json"
         colj.write_text(json.dumps({"num_colors": 2, "colors": [0, -1, 0, 1, 0]}))
@@ -233,6 +246,14 @@ class TestVerify:
             b'{"num_colors": 2, "colors": 7}',
             b'{"num_colors": "two", "colors": [0, 1, 0, 1, 0]}',
             b'{"num_colors": Infinity, "colors": [0, 1, 0, 1, 0]}',
+            b'{"num_colors": "2", "colors": [0, 1, 0, 1, 0]}',
+            b'{"num_colors": 2.0, "colors": [0, 1, 0, 1, 0]}',
+            b'{"num_colors": true, "colors": [0, 0, 0, 0, 0]}',
+            b'{"num_colors": 2, "colors": [0, 1.7, 0, 1, 0]}',
+            b'{"num_colors": 2, "colors": [0, "1", 0, 1, 0]}',
+            b'{"num_colors": 2, "colors": [0, true, 0, 1, 0]}',
+            b'{"num_colors": 2, "colors": [0, 1.0, 0, 1, 0]}',
+            b'{"num_colors": 2, "colors": [0, NaN, 0, 1, 0]}',
             pytest.param(b"[" * 100_000, id="nested-100000-deep"),
         ],
     )

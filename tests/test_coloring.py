@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treedist import (
     balanced_colors,
@@ -21,7 +23,6 @@ from treedist import (
     random_tree,
     root_at,
     tree_from_edges,
-    unfixed_vertices,
 )
 from treedist.errors import BadParams, BadSpine, IndexOverflow, NotRegularProfile
 
@@ -480,8 +481,8 @@ class TestSymmetricFamilies:
 
     def test_mirrored_halves_all_colors(self):
         half = helpers.complete_tree(4, 3)
-        edges = list(half.edges())
-        edges += [(u + half.n, v + half.n) for u, v in half.edges()]
+        edges = helpers.edges(half)
+        edges += [(u + half.n, v + half.n) for u, v in helpers.edges(half)]
         edges.append((0, half.n))
         t = tree_from_edges(edges, n=2 * half.n)
         for c in range(2, max_valence(t) + 1):
@@ -556,7 +557,7 @@ class TestColorNearDistinguishing:
         t = helpers.load_fixture("glued_stars")
         coloring = color_near_distinguishing(t)
         assert coloring.num_colors == 2
-        unfixed = unfixed_vertices(t, coloring)
+        unfixed = fix_report(t, coloring).unfixed_set()
         assert len(unfixed) == 2
         a, b = sorted(unfixed)
         assert t.degree(a) == 1 and t.degree(b) == 1
@@ -566,13 +567,13 @@ class TestColorNearDistinguishing:
         t = helpers.path_tree(3)
         coloring = color_near_distinguishing(t)
         assert coloring.num_colors == 1
-        assert unfixed_vertices(t, coloring) == {0, 2}
+        assert fix_report(t, coloring).unfixed_set() == {0, 2}
 
     def test_star_full_valence(self):
         t = helpers.star_tree(4)
         coloring = color_near_distinguishing(t)
         assert coloring.num_colors == 3
-        unfixed = sorted(unfixed_vertices(t, coloring))
+        unfixed = sorted(fix_report(t, coloring).unfixed_set())
         assert len(unfixed) == 2
         assert all(t.degree(v) == 1 for v in unfixed)
 
@@ -584,7 +585,7 @@ class TestColorNearDistinguishing:
             if max_valence(t) < 3:
                 continue
             coloring = color_near_distinguishing(t)
-            unfixed = sorted(unfixed_vertices(t, coloring))
+            unfixed = sorted(fix_report(t, coloring).unfixed_set())
             assert len(unfixed) in (0, 2), (seed, unfixed)
             if unfixed:
                 a, b = unfixed
@@ -604,7 +605,7 @@ class TestColorRegular:
 
     def test_complete_1_3_depth3_unfixed_only_leaves(self):
         t = helpers.complete_tree(3, 3)
-        unfixed = unfixed_vertices(t, color_regular(t))
+        unfixed = fix_report(t, color_regular(t)).unfixed_set()
         assert all(t.degree(v) == 1 for v in unfixed)
 
     def test_k2(self):
@@ -616,7 +617,7 @@ class TestColorRegular:
     def test_paths_fix_internals(self):
         for n in range(3, 11):
             t = helpers.path_tree(n)
-            unfixed = unfixed_vertices(t, color_regular(t))
+            unfixed = fix_report(t, color_regular(t)).unfixed_set()
             assert all(t.degree(v) == 1 for v in unfixed)
 
     def test_rejects_irregular(self):
@@ -668,6 +669,15 @@ class TestColorSpine:
         t = helpers.star_tree(3)
         with pytest.raises(BadSpine):
             color_spine(t, [1, 0], max_degree=3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), k=st.integers(2, 5), seed=st.integers(0, 10**6), data=st.data())
+    def test_longest_spine_matches_bfs_reference(self, n, k, seed, data):
+        # relabelled, so that the smallest-id tie-breaks meet every shape
+        perm = data.draw(st.permutations(range(n)))
+        base = random_tree(n, k, seed)
+        t = tree_from_edges([(perm[u], perm[v]) for u, v in helpers.edges(base)], n=n)
+        assert longest_spine(t) == helpers.reference_longest_spine(t)
 
     def test_longest_spine_starts_at_leaf(self):
         for seed in range(20):

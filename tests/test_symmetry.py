@@ -16,19 +16,22 @@ from treedist import (
     canonical_codes,
     canonical_labels,
     center,
+    color_anchored,
+    color_near_distinguishing,
+    color_regular,
+    color_spine,
     color_tree,
     distinguishing_number,
     enumerate_automorphisms,
     fix_report,
-    is_distinguishing,
+    longest_spine,
     max_valence,
     random_tree,
     root_at,
     tree_from_edges,
-    unfixed_vertices,
 )
-from treedist.cli import render_dot
-from treedist.errors import BadParams, BudgetExceeded, NotFoundWithinMax, PartialColoring
+from treedist.cli import _dot_lines
+from treedist.errors import BadParams, BudgetExceeded, NotFoundWithinMax, PartialColoring, TreedistError
 from treedist.symmetry import VERIFY_BATCH, _check_batch, subtree_code
 import treedist.symmetry as symmetry
 import treedist.tree_core as tree_core
@@ -87,7 +90,7 @@ class TestCanonicalCodes:
                         index = {v: x for x, v in enumerate(verts)}
                         sub_edges = [
                             (index[a], index[b])
-                            for a, b in t.edges()
+                            for a, b in helpers.edges(t)
                             if a in index and b in index
                         ]
                         sub = tree_from_edges(sub_edges, n=len(verts))
@@ -292,9 +295,19 @@ class TestColoringValidation:
             assert expected is None
 
     def test_json_colors_become_ints(self):
-        coloring = Coloring.from_json_dict({"num_colors": 2, "colors": [0, True, 1]})
-        assert coloring.colors == (0, 1, 1)
-        assert set(map(type, coloring.colors)) == {int}
+        # they do not: a file's values are checked as they are, so a value
+        # that int() would have turned into a color or count is refused
+        for data in (
+            {"num_colors": 2, "colors": [0, True, 1]},
+            {"num_colors": 2, "colors": [0, 1.7, 1]},
+            {"num_colors": 2, "colors": [0, "1", 1]},
+            {"num_colors": 2, "colors": [0, 1.0, 1]},
+            {"num_colors": 2.0, "colors": [0, 1, 1]},
+            {"num_colors": "2", "colors": [0, 1, 1]},
+            {"num_colors": True, "colors": [0, 0, 0]},
+        ):
+            with pytest.raises(BadParams):
+                Coloring.from_json_dict(data)
 
 
 class TestFixReportPeakMemory:
@@ -331,17 +344,6 @@ class TestEnumerateAutomorphisms:
         t = helpers.star_tree(6)
         with pytest.raises(BudgetExceeded):
             enumerate_automorphisms(t, mono(7), limit=10)
-
-    def test_budget_env_override(self, monkeypatch):
-        monkeypatch.setenv("TREEDIST_BUDGET", "10")
-        t = helpers.star_tree(6)
-        with pytest.raises(BudgetExceeded):
-            enumerate_automorphisms(t, mono(7))
-
-    def test_budget_env_not_an_integer(self, monkeypatch):
-        monkeypatch.setenv("TREEDIST_BUDGET", "abc")
-        with pytest.raises(BadParams):
-            enumerate_automorphisms(helpers.star_tree(2), mono(3))
 
     def test_long_path_is_not_recursive(self):
         # one search level per vertex: a recursive search overflows the stack
@@ -462,7 +464,7 @@ class TestBatchedEnumeration:
         t, coloring = case
         g = nx.Graph()
         g.add_nodes_from((v, {"color": c}) for v, c in enumerate(coloring.colors))
-        g.add_edges_from(t.edges())
+        g.add_edges_from(helpers.edges(t))
         matcher = GraphMatcher(g, g, node_match=lambda a, b: a["color"] == b["color"])
         expected = sorted(tuple(m[v] for v in range(t.n)) for m in matcher.isomorphisms_iter())
         assert enumerate_automorphisms(t, coloring) == expected
@@ -489,24 +491,24 @@ class TestOracleEquivalence:
 
 class TestIsDistinguishing:
     def test_star_rainbow(self):
-        assert is_distinguishing(helpers.star_tree(3), Coloring(3, (0, 0, 1, 2)))
+        assert fix_report(helpers.star_tree(3), Coloring(3, (0, 0, 1, 2))).aut_count == 1
 
     def test_star_with_repeat(self):
-        assert not is_distinguishing(helpers.star_tree(3), Coloring(2, (0, 0, 0, 1)))
+        assert fix_report(helpers.star_tree(3), Coloring(2, (0, 0, 0, 1))).aut_count != 1
 
     def test_single_vertex(self):
-        assert is_distinguishing(tree_from_edges([], n=1), mono(1))
+        assert fix_report(tree_from_edges([], n=1), mono(1)).aut_count == 1
 
 
 class TestUnfixedVertices:
     def test_distinguishing_coloring(self):
-        assert unfixed_vertices(helpers.star_tree(3), Coloring(3, (0, 0, 1, 2))) == set()
+        assert fix_report(helpers.star_tree(3), Coloring(3, (0, 0, 1, 2))).unfixed_set() == set()
 
     def test_path4_monochromatic(self):
-        assert unfixed_vertices(helpers.path_tree(4), mono(4)) == {0, 1, 2, 3}
+        assert fix_report(helpers.path_tree(4), mono(4)).unfixed_set() == {0, 1, 2, 3}
 
     def test_star_two_zero_leaves(self):
-        assert unfixed_vertices(helpers.star_tree(3), Coloring(2, (0, 0, 0, 1))) == {1, 2}
+        assert fix_report(helpers.star_tree(3), Coloring(2, (0, 0, 0, 1))).unfixed_set() == {1, 2}
 
 
 def brute_force_has_distinguishing(tree, d: int) -> bool:
@@ -580,7 +582,7 @@ def _hub(copies: int, sub):
     for i in range(copies):
         base = 1 + i * sub.n
         edges.append((0, base))
-        edges.extend((base + u, base + v) for u, v in sub.edges())
+        edges.extend((base + u, base + v) for u, v in helpers.edges(sub))
     return tree_from_edges(edges, n=1 + copies * sub.n)
 
 
@@ -734,5 +736,192 @@ class TestColorTreeGolden:
         t = _golden_tree(name)
         for c in range(2, max_valence(t) + 1):
             coloring, trace = color_tree(t, c)
-            got = (_digest(fix_report(t, coloring).to_json_dict()), _digest(render_dot(t, coloring, trace)))
+            got = (_digest(fix_report(t, coloring).to_json_dict()), _digest("".join(_dot_lines(t, coloring, trace))))
             assert got == GOLDEN_FIX_AND_DOT[(name, c)], (name, c)
+
+
+def _outcome(make) -> str:
+    """Digest of the JSON of what make() returns (a coloring, or a coloring
+    and its trace), or the name of the treedist error it raises."""
+    try:
+        made = make()
+    except TreedistError as exc:
+        return type(exc).__name__
+    parts = made if isinstance(made, tuple) else (made,)
+    return _digest(json.dumps([part.to_json_dict() for part in parts]))
+
+
+def _sibling_fill_outcomes(t) -> tuple[str, ...]:
+    """The colorings that end in a sibling-distinct fill below a few
+    pre-colored vertices: near-distinguishing, anchored at vertex 0, at
+    the (first) center vertex and at the first leaf, spine along
+    longest_spine, color_tree with 2 colors rooted at 0, and color_regular."""
+    middle = center(t)[0]
+    leaf = min(range(t.n), key=lambda v: (t.degree(v) != 1, v))
+    return (
+        _outcome(lambda: color_near_distinguishing(t)),
+        _outcome(lambda: color_anchored(t, 0)),
+        _outcome(lambda: color_anchored(t, middle)),
+        _outcome(lambda: color_anchored(t, leaf)),
+        _outcome(lambda: color_spine(t, longest_spine(t))),
+        _outcome(lambda: color_tree(t, 2, root=0)),
+        _outcome(lambda: color_regular(t)),
+    )
+
+
+#: _sibling_fill_outcomes of every golden tree, and one digest of them over
+#: 300 seeded random trees, recorded before the per-subtree fills were
+#: folded into one pass over the rooted view.
+GOLDEN_SIBLING_FILL = {
+    "complete_1_3_depth1": (
+        "11108a4f659434a3",
+        "BadParams",
+        "BadParams",
+        "597b82ed1b23f601",
+        "711148d020c92963",
+        "BadParams",
+        "951ed7e4519617d3",
+    ),
+    "complete_1_3_depth2": (
+        "e52a8c78e60bbf63",
+        "BadParams",
+        "BadParams",
+        "2645769f11ea9c7c",
+        "ef937cd9defc8446",
+        "BadParams",
+        "aad17464168a6533",
+    ),
+    "complete_1_3_depth3": (
+        "cf8eb7eca1fd5632",
+        "BadParams",
+        "BadParams",
+        "334377a5dddb956b",
+        "e9e0f703426b5a88",
+        "BadParams",
+        "ec9c643cf1a7d2ba",
+    ),
+    "complete_1_4_depth1": (
+        "2f336842c1468089",
+        "BadParams",
+        "BadParams",
+        "a6e25a9db67d0bef",
+        "5ec67f70993db618",
+        "99256b242fbeb650",
+        "05f1e4094aa50849",
+    ),
+    "complete_1_4_depth2": (
+        "302c5872e84d21dd",
+        "BadParams",
+        "BadParams",
+        "3bbe43c18a86f232",
+        "c021c2c958327bba",
+        "62ac52c41c3acabf",
+        "0730e874fea96d6e",
+    ),
+    "complete_1_4_depth3": (
+        "3f1262797f73a230",
+        "BadParams",
+        "BadParams",
+        "e9d6053e4047053e",
+        "63c48c00539288ea",
+        "1cb47127a955436d",
+        "10074ef73f0dd4f6",
+    ),
+    "complete_1_7_depth3": (
+        "d52106b4bf26faf0",
+        "BadParams",
+        "BadParams",
+        "0f9162861de9792b",
+        "06ea0f342604f514",
+        "d13d9d3f348116d5",
+        "2b49ec3249bfb99f",
+    ),
+    "glued_stars": (
+        "e52a8c78e60bbf63",
+        "BadParams",
+        "BadParams",
+        "2645769f11ea9c7c",
+        "ef937cd9defc8446",
+        "BadParams",
+        "aad17464168a6533",
+    ),
+    "hub10_tails2": (
+        "6c6e3a2777e2cc3e",
+        "BadParams",
+        "BadParams",
+        "032477ca4d6be661",
+        "621143d50a6436e0",
+        "a5bc58049418ea3d",
+        "NotRegularProfile",
+    ),
+    "hub4_binary4": (
+        "3929a8607b5cb2ae",
+        "BadParams",
+        "BadParams",
+        "ba2f44202297253f",
+        "a8e4c23f563dc2b2",
+        "18d3858ac3822269",
+        "NotRegularProfile",
+    ),
+    "path10": (
+        "4f2ec7dd309d7acc",
+        "4f2ec7dd309d7acc",
+        "BadParams",
+        "4f2ec7dd309d7acc",
+        "84edbd42e324c205",
+        "5a543fe76f5e01e6",
+        "c9ed3d5214328589",
+    ),
+    "path4": (
+        "8ee08f3b7c44ae31",
+        "8ee08f3b7c44ae31",
+        "BadParams",
+        "8ee08f3b7c44ae31",
+        "f6fd369d5d036838",
+        "dfc2ef2ecb8f62fc",
+        "9941c7e857f0d46a",
+    ),
+    "path5": (
+        "5d0f1a1d9792ffd0",
+        "5d0f1a1d9792ffd0",
+        "BadParams",
+        "5d0f1a1d9792ffd0",
+        "0aab630666312e48",
+        "ad360dafdda28bf5",
+        "5ed254b1939b6c50",
+    ),
+    "random_300_k6": (
+        "64c68e05bdeaef1b",
+        "BadParams",
+        "dd8c1a209816d415",
+        "a16ca9bd11ead71c",
+        "c99392c196455f66",
+        "28945acb59462060",
+        "NotRegularProfile",
+    ),
+    "spider_8x6": (
+        "00ee5ea62d33c384",
+        "BadParams",
+        "BadParams",
+        "25c295fa2919c7c2",
+        "088c010cac07e7da",
+        "ab9e32d2da0ef308",
+        "NotRegularProfile",
+    ),
+    "random_300": "d6db7c84b3d7e9f4",
+}
+
+
+def _random_fill_trees():
+    rng = random.Random(1810)
+    return [random_tree(rng.randint(1, 60), rng.randint(2, 7), seed) for seed in range(300)]
+
+
+class TestSiblingFillGolden:
+    @pytest.mark.parametrize("name", sorted({name for name, _ in GOLDEN_COLOR_TREE}))
+    def test_colorings_pinned(self, name):
+        assert _sibling_fill_outcomes(_golden_tree(name)) == GOLDEN_SIBLING_FILL[name]
+
+    def test_random_trees_pinned(self):
+        got = _digest(json.dumps([_sibling_fill_outcomes(t) for t in _random_fill_trees()]))
+        assert got == GOLDEN_SIBLING_FILL["random_300"]

@@ -6,6 +6,7 @@ from treedist import (
     Coloring,
     color_tree,
     fix_radius,
+    max_valence,
     random_tree,
     run_random_campaign,
     tree_from_edges,
@@ -121,7 +122,15 @@ class TestVerifyFixingGuarantee:
 
     def test_color_count_domain(self):
         with pytest.raises(BadParams):
-            verify_fixing_guarantee(helpers.path_tree(5), 3)  # c > max valence
+            verify_fixing_guarantee(helpers.path_tree(5), 1)
+
+    def test_more_colors_than_valence(self):
+        # the radius is 0 there, so every vertex must be fixed
+        for t in (helpers.path_tree(5), helpers.load_fixture("hub10_tails2")):
+            for c in (max_valence(t), max_valence(t) + 1, 12):
+                assert verify_fixing_guarantee(t, c).passed
+        report = verify_fixing_guarantee(helpers.path_tree(5), 5, coloring=Coloring(5, (0, 1, 2, 1, 0)))
+        assert report.failures[0].witness == {"unfixed_but_guaranteed": [0, 1, 3, 4]}
 
 
 class TestVerifyNearDistinguishing:
