@@ -16,7 +16,7 @@ vertex id everywhere, so repeated runs are byte-identical.
 from __future__ import annotations
 
 from .errors import BadParams, BadSpine, IndexOverflow, NotRegularProfile
-from .symmetry import UNCOLORED, Coloring, canonical_labels, structural_codes
+from .symmetry import UNCOLORED, Coloring, canonical_labels
 from .tree_core import Record, RootedView, Tree, max_valence, root_at
 
 
@@ -442,7 +442,7 @@ def color_regular(tree: Tree) -> Coloring:
     The center is white with black neighbors; below that, same-colored
     internal siblings are told apart by giving their child groups pairwise
     different black-counts (there are exactly k such patterns on k-1 slots),
-    assigned in ascending order of subtree shape.
+    assigned in ascending vertex id.
     """
     n = tree.n
     if n == 1:
@@ -452,7 +452,6 @@ def color_regular(tree: Tree) -> Coloring:
     if bad:
         raise NotRegularProfile(f"vertex {bad[0]} has valence {tree.degree(bad[0])}, not 1 or {k}")
     rv = tree.centered
-    struct = structural_codes(rv)
     colors = [UNCOLORED] * n
     if len(rv.roots) == 1:
         v = rv.roots[0]
@@ -474,8 +473,7 @@ def color_regular(tree: Tree) -> Coloring:
             if rv.children[x]:
                 by_color.setdefault(colors[x], []).append(x)
         for col in sorted(by_color):
-            members = sorted(by_color[col], key=lambda x: (struct[x], x))
-            for blacks, x in enumerate(members):
+            for blacks, x in enumerate(by_color[col]):
                 for i, y in enumerate(rv.children[x]):
                     colors[y] = 1 if i < blacks else 0
     return Coloring(2, tuple(colors))

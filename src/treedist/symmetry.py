@@ -6,9 +6,8 @@ to a small integer, so equal labels mean isomorphic colored rooted subtrees.
 A vertex with k children costs one sort of k integers and one dict lookup,
 O(n log k) for a tree of max valence k, where nested byte codes grew with
 subtree size, O(n^2) on a path.  Those byte-code builders (canonical_codes,
-subtree_code, structural_codes) remain as reference oracles for the tests;
-only color_regular, whose sibling order is defined by the bytewise order of
-structural codes, still calls one.
+subtree_code, structural_codes) remain as reference oracles for the tests
+and the benchmark's traced run; no library path calls one.
 
 Everything here is pure given immutable inputs, so different trees can be
 processed in parallel without coordination.  fix_report computes orbits and
@@ -158,7 +157,7 @@ def subtree_code(rv: RootedView, colors: list[int], num_colors: int, u: int) -> 
 
 def structural_codes(rv: RootedView) -> list[bytes]:
     """Per-vertex canonical byte code of the uncolored subtree shape below
-    each vertex.  color_regular orders siblings by these codes bytewise."""
+    each vertex."""
     codes = _byte_codes(rv, reversed(rv.order))
     return [codes[u] for u in range(rv.tree.n)]
 

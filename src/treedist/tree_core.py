@@ -12,11 +12,11 @@ callers compare with the fixing threshold coloring.fix_radius.
 
 A tree is validated by leaf peeling: with exactly n-1 edges the graph is a
 tree when repeatedly removing every leaf removes all vertices.  The same
-peel yields the center (the last layer), each vertex's parent towards it
-(the neighbour still present when the vertex is removed) and its subtree
-height in the center-rooted view (the round in which it is removed).  The
-Tree keeps these until its center-rooted view is built from them, so
-loading and rooting a tree visit every vertex once each.
+peel yields the center (the last layer) and each vertex's subtree height in
+the center-rooted view (the round in which it is removed).  The Tree keeps
+these until Tree.centered is built from them, so no tree is peeled twice.
+Every RootedView, at the center or elsewhere, is built by one
+breadth-first loop over the adjacency tuples.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from itertools import chain, islice
 
 from .errors import (
     BadFormat,
+    BadParams,
     InfeasibleParams,
     NonContiguousIds,
     NotATree,
@@ -87,13 +88,16 @@ class Tree(Record):
         fields, equality, hash and repr are untouched.  center and
         root_at are called through this module's globals, so a wrapper rebound
         on either name (as the benchmark's traced run does) sees the call.
+        The peel is dropped once the view holds its heights.
         """
-        return root_at(self, center(self))
+        view = root_at(self, center(self))
+        self.__dict__.pop("_peel", None)
+        return view
 
 
-#: What leaf peeling yields: the center, then each vertex's parent towards
-#: it (-1 at the center) and its subtree height in the center-rooted view.
-Peel = tuple[tuple[int, ...], array, array]
+#: What leaf peeling yields: the center, then each vertex's subtree height
+#: in the center-rooted view, one machine int each.
+Peel = tuple[tuple[int, ...], array]
 
 
 def tree_from_edges(edges: Iterable[tuple[int, int]], n: int | None = None) -> Tree:
@@ -188,15 +192,13 @@ def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
 
 def _peel(adjacency: Sequence[tuple[int, ...]], n: int) -> Peel | None:
     """Remove every leaf, round after round, until one vertex or one edge
-    is left: the center.  Returns the center, each vertex's parent (the
-    neighbour still present when it is removed; -1 at the center) and its
-    height (the round in which it is removed, 0 for leaves; the last round
-    at the center), or None when a round finds no leaf: with n-1 edges,
-    exactly when the graph is not a tree."""
-    parent = array("i", [-1]) * n
+    is left: the center.  Returns the center and each vertex's height (the
+    round in which it is removed, 0 for leaves; the last round at the
+    center), or None when a round finds no leaf: with n-1 edges, exactly
+    when the graph is not a tree."""
     height = array("i", bytes(4 * n))
     if n <= 1:
-        return tuple(range(n)), parent, height
+        return tuple(range(n)), height
     deg = list(map(len, adjacency))
     layer = [v for v, d in enumerate(deg) if d == 1]
     removed = len(layer)
@@ -209,7 +211,6 @@ def _peel(adjacency: Sequence[tuple[int, ...]], n: int) -> Peel | None:
             # a leaf has one neighbour left, however many it had
             for w in adjacency[u]:
                 if deg[w]:
-                    parent[u] = w
                     d = deg[w] - 1
                     deg[w] = d
                     if d == 1:
@@ -220,7 +221,7 @@ def _peel(adjacency: Sequence[tuple[int, ...]], n: int) -> Peel | None:
             return None
         removed += len(nxt)
         layer = nxt
-    return tuple(sorted(layer)), parent, height
+    return tuple(sorted(layer)), height
 
 
 #: The text that format_edge_list, `treedist gen` and the benchmark write:
@@ -332,7 +333,11 @@ def center(tree: Tree) -> tuple[int, ...]:
     """Center by repeated leaf peeling: the sorted tuple of the one vertex or
     the two endpoints of the one edge that remain.  A Tree built by
     tree_from_edges, parse_edge_list or random_tree was peeled when it was
-    validated; any other is peeled here, and keeps the peel for its view."""
+    validated; any other is peeled here, and keeps the peel until
+    Tree.centered is built, whose roots are the center from then on."""
+    view = tree.__dict__.get("centered")
+    if view is not None:
+        return view.roots
     peel = tree.__dict__.get("_peel")
     if peel is None:
         peel = _peel(tree.adjacency, tree.n)
@@ -351,9 +356,9 @@ class RootedView:
     library derives its determinism from that ordering.  heights[u] is the
     greatest distance from u to a leaf of its own subtree, 0 at leaves.
 
-    At the center of a Tree that keeps its peel (see center), the parents
-    and heights come from the peel, which the Tree then drops; at any other
-    root a breadth-first search finds them.
+    One breadth-first loop builds every view.  At the center of a Tree that
+    keeps its peel (see center) the heights are the peel's, which the view
+    only reads; at any other root one bottom-up pass computes them.
     """
 
     def __init__(self, tree: Tree, roots: tuple[int, ...]):
@@ -364,47 +369,32 @@ class RootedView:
         parent: list[int | None] = [None] * n
         # every leaf shares the one empty tuple
         children: list[tuple[int, ...]] = [()] * n
-        # breadth-first: order doubles as the queue
+        # breadth-first: order doubles as the queue; a vertex's children are
+        # its neighbours but its parent, and each child's parent is set as it
+        # is enqueued.  Each end of a central edge starts with the other as
+        # its parent, so the edge between them is left out too
+        if len(self.roots) == 2:
+            a, b = self.roots
+            parent[a], parent[b] = b, a
         order = list(self.roots)
+        for u in order:
+            nbrs = adjacency[u]
+            p = parent[u]
+            if p is not None:
+                if len(nbrs) == 1:
+                    continue
+                i = nbrs.index(p)
+                nbrs = nbrs[:i] + nbrs[i + 1 :]
+            children[u] = nbrs
+            for w in nbrs:
+                parent[w] = u
+            order.extend(nbrs)
+        for r in self.roots:
+            parent[r] = None
         peel = tree.__dict__.get("_peel")
         if peel is not None and peel[0] == self.roots:
-            tree.__dict__.pop("_peel", None)
-            _, above, heights = peel
-            # a root's children are its neighbours but the other root; any
-            # other vertex's are its neighbours but its parent, whose int
-            # object the adjacency tuple already holds
-            for r in self.roots:
-                nbrs = adjacency[r]
-                if len(self.roots) == 2:
-                    i = nbrs.index(self.roots[1] if r == self.roots[0] else self.roots[0])
-                    nbrs = nbrs[:i] + nbrs[i + 1 :]
-                children[r] = nbrs
-                order.extend(nbrs)
-            for u in islice(order, len(self.roots), None):
-                nbrs = adjacency[u]
-                if len(nbrs) == 1:
-                    parent[u] = nbrs[0]
-                else:
-                    i = nbrs.index(above[u])
-                    parent[u] = nbrs[i]
-                    kids = nbrs[:i] + nbrs[i + 1 :]
-                    children[u] = kids
-                    order.extend(kids)
+            heights = peel[1]
         else:
-            # both ends of a central edge start out seen, so the edge
-            # between them is never followed
-            seen = bytearray(n)
-            for r in self.roots:
-                seen[r] = 1
-            for u in order:
-                kids = tuple([w for w in adjacency[u] if not seen[w]])
-                if kids:
-                    for w in kids:
-                        seen[w] = 1
-                        parent[w] = u
-                    children[u] = kids
-                    order.extend(kids)
-            del seen
             heights = [0] * n
             for u in reversed(order):
                 p = parent[u]
@@ -442,10 +432,13 @@ class RootedView:
 
 
 def root_at(tree: Tree, root: int | tuple[int, ...]) -> RootedView:
-    """Root the tree at a vertex, or at a center as returned by center()."""
+    """Root the tree at a vertex, or at a center as returned by center():
+    one vertex, or the two ends of an edge."""
     roots = (root,) if isinstance(root, int) else root
     for r in roots:
         tree.check_vertex(r)
+    if len(roots) not in (1, 2) or len(roots) == 2 and roots[1] not in tree.adjacency[roots[0]]:
+        raise BadParams(f"roots {tuple(roots)} are neither one vertex nor the two ends of an edge")
     return RootedView(tree, roots)
 
 

@@ -625,6 +625,40 @@ class TestColorRegular:
         with pytest.raises(NotRegularProfile):
             color_regular(t)
 
+    @staticmethod
+    @st.composite
+    def regular_trees(draw):
+        """A tree whose valences are all 1 or k: a k-star whose random
+        leaves are expanded into k-1 children each, then relabelled."""
+        k = draw(st.integers(3, 6))
+        edges = [(0, i) for i in range(1, k + 1)]
+        leaves = list(range(1, k + 1))
+        for _ in range(draw(st.integers(0, 8))):
+            leaf = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+            for _ in range(k - 1):
+                leaves.append(len(edges) + 1)
+                edges.append((leaf, len(edges) + 1))
+        name = draw(st.permutations(range(len(edges) + 1)))
+        return tree_from_edges([(name[u], name[v]) for u, v in edges])
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=regular_trees())
+    def test_random_regular_unfixed_only_leaves(self, t):
+        coloring = color_regular(t)
+        assert coloring.num_colors == 2 and coloring.is_total
+        unfixed = fix_report(t, coloring).unfixed_set()
+        assert all(t.degree(v) == 1 for v in unfixed)
+
+    def test_path_peak_memory(self):
+        # siblings were once ordered by their structural byte codes, which
+        # total about n^2/2 bytes on a path: a peak of about 90 times the
+        # tree here; with the view built beforehand it reads about 0.15
+        t, _, tree_bytes = helpers.traced_peak(lambda: helpers.path_tree(20000))
+        t.centered
+        coloring, peak, _ = helpers.traced_peak(lambda: color_regular(t))
+        assert coloring.is_total
+        assert peak < 0.5 * tree_bytes, (peak, tree_bytes)
+
 
 def caterpillar(spine_len: int, pendants: int = 1):
     edges = [(i, i + 1) for i in range(spine_len)]

@@ -13,6 +13,9 @@ from treedist import (
     RootedView,
     Tree,
     center,
+    color_anchored,
+    color_tree,
+    fix_report,
     fix_radius,
     format_edge_list,
     max_valence,
@@ -21,8 +24,11 @@ from treedist import (
     root_at,
     tree_from_edges,
 )
+from treedist import tree_core
+from treedist.cli import main
 from treedist.errors import (
     BadFormat,
+    BadParams,
     InfeasibleParams,
     NonContiguousIds,
     NotATree,
@@ -250,6 +256,11 @@ class TestRootAt:
         with pytest.raises(VertexOutOfRange):
             root_at(helpers.path_tree(3), 7)
 
+    @pytest.mark.parametrize("roots", [(), (0, 2), (1, 1), (0, 1, 2)])
+    def test_roots_not_a_vertex_or_an_edge(self, roots):
+        with pytest.raises(BadParams, match="neither one vertex nor the two ends of an edge"):
+            root_at(helpers.path_tree(3), roots)
+
     def test_children_partition_and_parent_inverts(self):
         for seed in range(20):
             t = random_tree(18, 5, seed)
@@ -308,6 +319,53 @@ class TestCentered:
         assert t == twin and hash(t) == hash(twin)
         assert repr(t) == before
         assert "centered" not in repr(t)
+
+
+class TestOnePeel:
+    """No call sequence peels a tree twice: the peel that validated it gives
+    the center and the centered view's heights, a view at the center built
+    before Tree.centered leaves the peel in place, and center() reads the
+    centered view's roots once the peel is dropped."""
+
+    @pytest.fixture
+    def peels(self, monkeypatch):
+        calls = []
+        original = tree_core._peel
+
+        def counted(adjacency, n):
+            calls.append(n)
+            return original(adjacency, n)
+
+        monkeypatch.setattr(tree_core, "_peel", counted)
+        return calls
+
+    def test_anchored_at_center_then_fix_report(self, peels):
+        # center 0 has valence 2 < k - 1 = 3, so it may anchor
+        t = tree_from_edges([(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 8)])
+        (anchor,) = center(t)
+        fix_report(t, color_anchored(t, anchor))
+        assert len(peels) == 1
+
+    def test_centered_then_center(self, peels):
+        t = random_tree(50, 4, 3)
+        roots = t.centered.roots
+        assert center(t) == roots
+        assert sorted(vars(t)) == ["adjacency", "centered", "n"]
+        assert len(peels) == 1
+
+    def test_cli_spine_on_star_centered_at_0(self, peels, tmp_path):
+        path = tmp_path / "star.tree"
+        path.write_text(format_edge_list(helpers.star_tree(5)), encoding="utf-8")
+        peels.clear()
+        assert main(["color", "-a", "spine", str(path)]) == 0
+        assert len(peels) == 1
+
+    def test_color_tree_rooted_at_center_then_fix_report(self, peels):
+        t = helpers.complete_tree(4, 3)
+        assert max_valence(t) >= 4
+        coloring, _ = color_tree(t, 2, root=center(t))
+        fix_report(t, coloring)
+        assert len(peels) == 1
 
 
 #: How a test tree is built: by random_tree or tree_from_edges (peeled as
@@ -538,9 +596,9 @@ class TestAgainstReference:
     )
     def test_rooted_view_fields(self, n, k, seed, pick, kind, source):
         t = _rebuilt(random_tree(n, k, seed), source)
-        # the center-rooted view comes from the peel that validated the tree
-        # (or, built directly, from the one center() runs), the others from
-        # a breadth-first search
+        # the center-rooted view takes its heights from the peel that
+        # validated the tree (or, built directly, from the one center()
+        # runs), the others from a bottom-up pass
         expected = helpers.reference_view_fields(t, helpers.reference_center(t))
         assert {name: getattr(t.centered, name) for name in VIEW_FIELDS} == expected
         if kind == "center":
