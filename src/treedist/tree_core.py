@@ -12,11 +12,10 @@ callers compare with the fixing threshold coloring.fix_radius.
 
 A tree is validated by leaf peeling: with exactly n-1 edges the graph is a
 tree when repeatedly removing every leaf removes all vertices.  The same
-peel yields the center (the last layer) and each vertex's subtree height in
-the center-rooted view (the round in which it is removed).  The Tree keeps
-these until Tree.centered is built from them, so no tree is peeled twice.
-Every RootedView, at the center or elsewhere, is built by one
-breadth-first loop over the adjacency tuples.
+peel yields the center (the last layer), which the Tree keeps until
+Tree.centered is built, so no tree is peeled twice.  Every RootedView, at
+the center or elsewhere, is built by one breadth-first loop over the
+adjacency tuples and one bottom-up pass for the heights.
 """
 
 from __future__ import annotations
@@ -88,16 +87,12 @@ class Tree(Record):
         fields, equality, hash and repr are untouched.  center and
         root_at are called through this module's globals, so a wrapper rebound
         on either name (as the benchmark's traced run does) sees the call.
-        The peel is dropped once the view holds its heights.
+        The center the peel left on the tree is dropped once the view
+        holds it as its roots.
         """
         view = root_at(self, center(self))
         self.__dict__.pop("_peel", None)
         return view
-
-
-#: What leaf peeling yields: the center, then each vertex's subtree height
-#: in the center-rooted view, one machine int each.
-Peel = tuple[tuple[int, ...], array]
 
 
 def tree_from_edges(edges: Iterable[tuple[int, int]], n: int | None = None) -> Tree:
@@ -113,8 +108,8 @@ def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
     """tree_from_edges on the edges' ends laid out flat: edge i joins
     ends[2i] and ends[2i+1].  parse_edge_list and random_tree fill an array
     of machine ints, so no int object is kept per end.  ends is emptied once
-    the tree is validated; the Tree keeps the peel that validated it for
-    its center-rooted view."""
+    the tree is validated; the Tree keeps the center that the validating
+    peel found for its center-rooted view."""
     m = len(ends) // 2
     if n is not None and n < 1:
         raise NotATree(f"vertex count {n}; a tree has at least 1 vertex")
@@ -159,8 +154,8 @@ def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
 
     # with n-1 edges, peeling removes every vertex exactly when the graph is
     # a tree
-    peel = _peel(adj, n)
-    if peel is None:
+    found = _peel(adj, n)
+    if found is None:
         # n-1 edges with a self-loop or a repeated edge cannot connect n
         # vertices, so these are looked for only here; the first in edge
         # order is reported, self-loop before repeat
@@ -186,26 +181,21 @@ def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
         raise NotATree(f"disconnected: {count} of {n} vertices reachable from 0")
     del ends[:]
     tree = Tree(n, tuple(adj))
-    tree._peel = peel
+    tree._peel = found
     return tree
 
 
-def _peel(adjacency: Sequence[tuple[int, ...]], n: int) -> Peel | None:
+def _peel(adjacency: Sequence[tuple[int, ...]], n: int) -> tuple[int, ...] | None:
     """Remove every leaf, round after round, until one vertex or one edge
-    is left: the center.  Returns the center and each vertex's height (the
-    round in which it is removed, 0 for leaves; the last round at the
-    center), or None when a round finds no leaf: with n-1 edges, exactly
-    when the graph is not a tree."""
-    height = array("i", bytes(4 * n))
+    is left: the center, returned as a sorted tuple.  None when a round
+    finds no leaf: with n-1 edges, exactly when the graph is not a tree."""
     if n <= 1:
-        return tuple(range(n)), height
+        return tuple(range(n))
     deg = list(map(len, adjacency))
     layer = [v for v, d in enumerate(deg) if d == 1]
     removed = len(layer)
-    rounds = 0
     while removed < n:
         nxt: list[int] = []
-        rounds += 1
         for u in layer:
             deg[u] = 0
             # a leaf has one neighbour left, however many it had
@@ -215,13 +205,12 @@ def _peel(adjacency: Sequence[tuple[int, ...]], n: int) -> Peel | None:
                     deg[w] = d
                     if d == 1:
                         nxt.append(w)
-                        height[w] = rounds
                     break
         if not nxt:
             return None
         removed += len(nxt)
         layer = nxt
-    return tuple(sorted(layer)), height
+    return tuple(sorted(layer))
 
 
 #: The text that format_edge_list, `treedist gen` and the benchmark write:
@@ -333,18 +322,18 @@ def center(tree: Tree) -> tuple[int, ...]:
     """Center by repeated leaf peeling: the sorted tuple of the one vertex or
     the two endpoints of the one edge that remain.  A Tree built by
     tree_from_edges, parse_edge_list or random_tree was peeled when it was
-    validated; any other is peeled here, and keeps the peel until
+    validated; any other is peeled here.  The tree keeps the center until
     Tree.centered is built, whose roots are the center from then on."""
     view = tree.__dict__.get("centered")
     if view is not None:
         return view.roots
-    peel = tree.__dict__.get("_peel")
-    if peel is None:
-        peel = _peel(tree.adjacency, tree.n)
-        if peel is None:
+    found = tree.__dict__.get("_peel")
+    if found is None:
+        found = _peel(tree.adjacency, tree.n)
+        if found is None:
             raise NotATree("leaf peeling stalls: the graph has a cycle or is disconnected")
-        tree._peel = peel
-    return peel[0]
+        tree._peel = found
+    return found
 
 
 class RootedView:
@@ -356,16 +345,18 @@ class RootedView:
     library derives its determinism from that ordering.  heights[u] is the
     greatest distance from u to a leaf of its own subtree, 0 at leaves.
 
-    One breadth-first loop builds every view.  At the center of a Tree that
-    keeps its peel (see center) the heights are the peel's, which the view
-    only reads; at any other root one bottom-up pass computes them.
+    One breadth-first loop builds every view, and one bottom-up pass its
+    heights.  The roots must be one vertex or the two ends of an edge: the
+    loop follows edges only.
     """
 
     def __init__(self, tree: Tree, roots: tuple[int, ...]):
         self.tree = tree
-        self.roots = tuple(sorted(roots))
+        self.roots = ends = tuple(sorted(roots))
         n = tree.n
         adjacency = tree.adjacency
+        if len(ends) not in (1, 2) or len(ends) == 2 and ends[1] not in adjacency[ends[0]]:
+            raise BadParams(f"roots {tuple(roots)} are neither one vertex nor the two ends of an edge")
         parent: list[int | None] = [None] * n
         # every leaf shares the one empty tuple
         children: list[tuple[int, ...]] = [()] * n
@@ -373,10 +364,10 @@ class RootedView:
         # its neighbours but its parent, and each child's parent is set as it
         # is enqueued.  Each end of a central edge starts with the other as
         # its parent, so the edge between them is left out too
-        if len(self.roots) == 2:
-            a, b = self.roots
+        if len(ends) == 2:
+            a, b = ends
             parent[a], parent[b] = b, a
-        order = list(self.roots)
+        order = list(ends)
         for u in order:
             nbrs = adjacency[u]
             p = parent[u]
@@ -389,17 +380,13 @@ class RootedView:
             for w in nbrs:
                 parent[w] = u
             order.extend(nbrs)
-        for r in self.roots:
+        for r in ends:
             parent[r] = None
-        peel = tree.__dict__.get("_peel")
-        if peel is not None and peel[0] == self.roots:
-            heights = peel[1]
-        else:
-            heights = [0] * n
-            for u in reversed(order):
-                p = parent[u]
-                if p is not None and heights[p] <= heights[u]:
-                    heights[p] = heights[u] + 1
+        heights = [0] * n
+        for u in reversed(order):
+            p = parent[u]
+            if p is not None and heights[p] <= heights[u]:
+                heights[p] = heights[u] + 1
         # one list at a time becomes its tuple and is dropped
         self.parent = tuple(parent)
         del parent
@@ -437,8 +424,6 @@ def root_at(tree: Tree, root: int | tuple[int, ...]) -> RootedView:
     roots = (root,) if isinstance(root, int) else root
     for r in roots:
         tree.check_vertex(r)
-    if len(roots) not in (1, 2) or len(roots) == 2 and roots[1] not in tree.adjacency[roots[0]]:
-        raise BadParams(f"roots {tuple(roots)} are neither one vertex nor the two ends of an edge")
     return RootedView(tree, roots)
 
 

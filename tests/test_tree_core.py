@@ -172,7 +172,9 @@ class TestPeakMemory:
         else:
             tree = Tree(probe.n, probe.adjacency)
             center(tree)
-        assert _arrays_on(tree)
+        # the peel leaves the center on the tree, and no array
+        assert vars(tree)["_peel"] == helpers.reference_center(tree)
+        assert not _arrays_on(tree)
         tree.centered
         assert sorted(vars(tree)) == ["adjacency", "centered", "n"]
         assert not _arrays_on(tree)
@@ -256,10 +258,12 @@ class TestRootAt:
         with pytest.raises(VertexOutOfRange):
             root_at(helpers.path_tree(3), 7)
 
+    # RootedView is public too, and its one loop follows edges only
+    @pytest.mark.parametrize("build", [root_at, RootedView])
     @pytest.mark.parametrize("roots", [(), (0, 2), (1, 1), (0, 1, 2)])
-    def test_roots_not_a_vertex_or_an_edge(self, roots):
+    def test_roots_not_a_vertex_or_an_edge(self, build, roots):
         with pytest.raises(BadParams, match="neither one vertex nor the two ends of an edge"):
-            root_at(helpers.path_tree(3), roots)
+            build(helpers.path_tree(3), roots)
 
     def test_children_partition_and_parent_inverts(self):
         for seed in range(20):
@@ -323,9 +327,9 @@ class TestCentered:
 
 class TestOnePeel:
     """No call sequence peels a tree twice: the peel that validated it gives
-    the center and the centered view's heights, a view at the center built
-    before Tree.centered leaves the peel in place, and center() reads the
-    centered view's roots once the peel is dropped."""
+    the center, a view at the center built before Tree.centered leaves it
+    in place, and center() reads the centered view's roots once the tree
+    has dropped it."""
 
     @pytest.fixture
     def peels(self, monkeypatch):
@@ -596,9 +600,9 @@ class TestAgainstReference:
     )
     def test_rooted_view_fields(self, n, k, seed, pick, kind, source):
         t = _rebuilt(random_tree(n, k, seed), source)
-        # the center-rooted view takes its heights from the peel that
+        # the center-rooted view takes its roots from the peel that
         # validated the tree (or, built directly, from the one center()
-        # runs), the others from a bottom-up pass
+        # runs); every view computes its heights in a bottom-up pass
         expected = helpers.reference_view_fields(t, helpers.reference_center(t))
         assert {name: getattr(t.centered, name) for name in VIEW_FIELDS} == expected
         if kind == "center":
