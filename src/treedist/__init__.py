@@ -30,6 +30,7 @@ from .symmetry import (
     distinguishing_number,
     enumerate_automorphisms,
     fix_report,
+    fixed_vertices,
     structural_codes,
 )
 from .tree_core import (

@@ -23,11 +23,10 @@ from .coloring import (
     color_spine,
     color_tree,
     fix_radius,
-    longest_spine,
     ColoringTrace,
 )
 from .errors import BadFormat, TreedistError
-from .symmetry import Coloring, distinguishing_number, fix_report
+from .symmetry import Coloring, distinguishing_number, fix_report, fixed_vertices
 from .tree_core import Tree, edge_list_lines, max_valence, parse_edge_list, random_tree
 from .verifier import run_random_campaign, verify_fixing_guarantee
 
@@ -134,13 +133,12 @@ def cmd_color(args: argparse.Namespace) -> int:
     elif args.algorithm == "regular":
         coloring = color_regular(tree)
     elif args.algorithm == "spine":
+        spine = None  # the longest spine
         if args.spine:
             try:
                 spine = [int(x) for x in args.spine.split(",")]
             except ValueError:
                 raise BadFormat(f"--spine must be comma-separated vertex ids, got {args.spine!r}") from None
-        else:
-            spine = longest_spine(tree)
         coloring = color_spine(tree, spine)
     else:  # anchored
         if args.anchor is None:
@@ -156,10 +154,9 @@ def cmd_color(args: argparse.Namespace) -> int:
     if args.dot_out:
         _write_or_print(_dot_lines(tree, coloring, trace), args.dot_out)
 
-    report = fix_report(tree, coloring)
     c = coloring.num_colors
     r_ceil = str(fix_radius(c, k)) if c >= 2 else "-"
-    fixed = sum(report.fixed)
+    fixed = sum(fixed_vertices(tree, coloring))
     print(f"n={tree.n} k={k} c={c} r_ceil={r_ceil} fixed={fixed}/{tree.n}")
     return 0
 

@@ -479,15 +479,20 @@ def color_regular(tree: Tree) -> Coloring:
     return Coloring(2, tuple(colors))
 
 
-def color_spine(tree: Tree, spine: list[int], max_degree: int | None = None) -> Coloring:
+def color_spine(tree: Tree, spine: list[int] | None = None, max_degree: int | None = None) -> Coloring:
     """Color a marked leaf-anchored path with 1 and everything hanging off it
     so that any color-preserving automorphism fixing the spine pointwise is
     the identity.
 
     Off-spine neighbors of each spine vertex get pairwise different colors
     avoiding 1; their hanging subtrees continue sibling-distinct over the full
-    palette of max_degree - 1 colors.
+    palette of max_degree - 1 colors.  The spine defaults to
+    longest_spine(tree), and the view that finds it, rooted at its first
+    vertex, is the one the coloring walks.
     """
+    rv = None
+    if spine is None:
+        spine, rv = _longest_spine_view(tree)
     n = tree.n
     k = max_valence(tree) if max_degree is None else max_degree
     if max_valence(tree) > k:
@@ -507,7 +512,8 @@ def color_spine(tree: Tree, spine: list[int], max_degree: int | None = None) -> 
             raise BadSpine(f"spine vertices {z} and {nxt} are not adjacent")
     num = max(k - 1, 2)
     off_palette = [x for x in range(num) if x != 1]
-    rv = root_at(tree, spine[0])
+    if rv is None:
+        rv = root_at(tree, spine[0])
     colors = [UNCOLORED] * n
     spine_next = {z: nxt for z, nxt in zip(spine, spine[1:])}
     for z in spine:
@@ -529,6 +535,11 @@ def longest_spine(tree: Tree) -> list[int]:
     """A longest path in the tree, as a vertex list starting at a leaf;
     deterministic via smallest-id tie-breaks: a is the vertex farthest from
     0, b the one farthest from a, and the path runs from a to b."""
+    return _longest_spine_view(tree)[0]
+
+
+def _longest_spine_view(tree: Tree) -> tuple[list[int], RootedView]:
+    """longest_spine(tree) together with the tree rooted at its first vertex."""
 
     def farthest(rv: RootedView) -> int:
         depth = rv.depth
@@ -540,4 +551,4 @@ def longest_spine(tree: Tree) -> list[int]:
     while path[-1] != a:
         path.append(rv.parent[path[-1]])
     path.reverse()
-    return path
+    return path, rv

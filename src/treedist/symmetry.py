@@ -10,10 +10,12 @@ subtree_code, structural_codes) remain as reference oracles for the tests
 and the benchmark's traced run; no library path calls one.
 
 Everything here is pure given immutable inputs, so different trees can be
-processed in parallel without coordination.  fix_report computes orbits and
-the exact automorphism count from canonical labels alone;
-enumerate_automorphisms is a deliberately separate search path that lists
-explicit permutations, so the two can be checked against each other.  It
+processed in parallel without coordination.  fixed_vertices decides which
+vertices every color-preserving automorphism fixes, from canonical labels
+and one top-down pass; that is all the guarantee checks read.  fix_report
+builds on the same pass and adds the orbits and the exact automorphism
+count; enumerate_automorphisms is a deliberately separate search path that
+lists explicit permutations, so the two can be checked against each other.  It
 re-verifies the permutations it finds a batch at a time, with one set test
 per vertex and per edge across the whole batch, and raises AssertionError
 on one that fails, which only a wrong search can produce.
@@ -197,16 +199,62 @@ def _require_total(tree: Tree, coloring: Coloring) -> None:
         raise PartialColoring("coloring has uncolored vertices")
 
 
+def _fixed(rv: RootedView, labels: Sequence[int]) -> list[bool]:
+    """Whether each vertex is fixed by every color-preserving automorphism,
+    given the canonical labels of rv's subtrees.
+
+    The roots are fixed unless they are the two ends of an edge center whose
+    halves carry equal labels, which a swap exchanges.  Below them, one
+    top-down pass: a child is fixed exactly when its parent is and no
+    sibling shares its label, since an automorphism fixing the parent
+    permutes its children within classes of equal label, and every such
+    permutation extends to one.  An unfixed parent's subtree stays unfixed.
+    """
+    fixed = [False] * rv.tree.n
+    roots = rv.roots
+    if len(roots) == 1 or labels[roots[0]] != labels[roots[1]]:
+        for r in roots:
+            fixed[r] = True
+    children = rv.children
+    for u in rv.order:
+        if not fixed[u]:
+            continue
+        below = children[u]
+        if len(below) == 1:
+            fixed[below[0]] = True
+        elif below:
+            labs = list(map(labels.__getitem__, below))
+            if len(set(labs)) == len(labs):
+                for w in below:
+                    fixed[w] = True
+            else:
+                tally = Counter(labs)
+                for w, label in zip(below, labs):
+                    fixed[w] = tally[label] == 1
+    return fixed
+
+
+def fixed_vertices(tree: Tree, coloring: Coloring) -> list[bool]:
+    """Whether each vertex is fixed by every color-preserving automorphism of
+    a total coloring: fix_report(tree, coloring).fixed, without the orbits
+    and the automorphism count.  One labelling run and one top-down pass."""
+    _require_total(tree, coloring)
+    rv = tree.centered
+    return _fixed(rv, canonical_labels(rv, coloring.colors))
+
+
 def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
     """Orbits, fixed set and exact automorphism count for a total coloring.
 
     The tree is rooted at its center.  With an edge center the two halves may
     additionally be swapped when their colored canonical labels coincide; that
-    swap merges the matched orbits and doubles the count.
+    swap merges the matched orbits and doubles the count.  The fixed set is
+    the one fixed_vertices computes.
     """
     _require_total(tree, coloring)
     rv = tree.centered
     labels = canonical_labels(rv, coloring.colors)
+    fixed = _fixed(rv, labels)
 
     # the count is the product, over sibling classes of equal label, of
     # (class size)!: each position within a run of the sorted child labels
@@ -224,62 +272,42 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
                 else:
                     size = 1
 
-    swap = len(rv.roots) == 2 and labels[rv.roots[0]] == labels[rv.roots[1]]
+    swap = len(rv.roots) == 2 and not fixed[rv.roots[0]]
     if swap:
         factors[2] += 1
     aut = math.prod(f**e for f, e in factors.items())
 
     # orbits are numbered in breadth-first order of their first vertex, which
-    # is rv.order: the roots, then each parent's children in turn.  Children
-    # share an orbit when their parents do and their labels coincide, so a
-    # fixed parent's children are grouped among themselves and only an
-    # unfixed parent's go through the shared table.  An orbit is complete
-    # before its vertices are visited as parents, one level further down.
+    # is rv.order: the roots, then each parent's children in turn.  A fixed
+    # vertex is an orbit of its own.  Other children share an orbit when
+    # their parents do and their labels coincide, which a table keyed by
+    # (parent's orbit, label) finds; a fixed parent's orbit is the parent
+    # alone, so its children are grouped among themselves.  An orbit is
+    # complete before its vertices are visited as parents.
     orbit = [-1] * tree.n
-    sizes: list[int] = []  # by orbit id
     if swap:
         orbit[rv.roots[0]] = orbit[rv.roots[1]] = 0
-        sizes.append(2)
     else:
-        for r in rv.roots:
-            orbit[r] = len(sizes)
-            sizes.append(1)
+        for i, r in enumerate(rv.roots):
+            orbit[r] = i
+    count = 1 if swap else len(rv.roots)  # the next orbit id
     shared: dict[tuple[int, int], int] = {}
     children = rv.children
     for u in rv.order:
-        below = children[u]
-        if not below:
-            continue
         o = orbit[u]
-        if sizes[o] > 1:
-            for w in below:
+        for w in children[u]:
+            if fixed[w]:
+                x = count
+                count += 1
+            else:
                 key = (o, labels[w])
                 x = shared.get(key)
                 if x is None:
-                    shared[key] = x = len(sizes)
-                    sizes.append(1)
-                else:
-                    sizes[x] += 1
-                orbit[w] = x
-        elif len(below) == 1:
-            orbit[below[0]] = len(sizes)
-            sizes.append(1)
-        else:
-            # a fixed parent's children share an orbit exactly when their
-            # labels do, so the label alone is the key
-            groups: dict[int, int] = {}
-            for w in below:
-                label = labels[w]
-                x = groups.get(label)
-                if x is None:
-                    groups[label] = x = len(sizes)
-                    sizes.append(1)
-                else:
-                    sizes[x] += 1
-                orbit[w] = x
+                    shared[key] = x = count
+                    count += 1
+            orbit[w] = x
 
-    fixed = tuple([sizes[o] == 1 for o in orbit])
-    return FixReport(orbit=tuple(orbit), fixed=fixed, aut_count=aut)
+    return FixReport(orbit=tuple(orbit), fixed=tuple(fixed), aut_count=aut)
 
 
 #: Found permutations are re-verified this many at a time, column by column.

@@ -429,23 +429,31 @@ def root_at(tree: Tree, root: int | tuple[int, ...]) -> RootedView:
 
 def random_tree(n: int, max_degree: int, seed: int) -> Tree:
     """Deterministic random tree: attach each new vertex to a uniformly drawn
-    earlier vertex, rejecting parents already at the degree cap."""
+    earlier vertex, rejecting parents already at the degree cap.
+
+    A parent below v is drawn as random.Random(seed).randrange(v) draws it,
+    bit_length(v) random bits at a time until the value is below v, so the
+    trees are those of that randrange loop; the draw is written out, so they
+    do not change if randrange's own algorithm does.
+    """
     if n < 1:
         raise InfeasibleParams("n must be >= 1")
     if n >= 3 and max_degree < 2:
         raise InfeasibleParams(f"no tree on {n} vertices with max degree {max_degree}")
     if n == 2 and max_degree < 1:
         raise InfeasibleParams("an edge needs degree 1 at both ends")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     ends = array("q")
-    deg = [0] * n
+    append = ends.append
+    # every vertex but 0 gets its edge to its parent as it is attached
+    deg = [1] * n
+    deg[0] = 0
     for v in range(1, n):
-        while True:
-            p = rng.randrange(v)
-            if deg[p] < max_degree:
-                break
+        bits = v.bit_length()
+        p = getrandbits(bits)
+        while p >= v or deg[p] >= max_degree:
+            p = getrandbits(bits)
         deg[p] += 1
-        deg[v] += 1
-        ends.append(p)
-        ends.append(v)
+        append(p)
+        append(v)
     return _tree_from_ends(ends, n)

@@ -4,9 +4,9 @@ Every check returns a CampaignReport whose failures are self-describing: a
 failure carries the generator arguments (seed, n, k) plus the color count, so
 it can be replayed standalone.  Trials are independent, so campaigns can be
 sharded over a process pool; the aggregate is order-independent (failures are
-sorted by seed).  The oracle is fix_report, near-linear in n, so no check
-caps the tree size.  Reports carry no timing, so payloads are byte-identical
-across runs.
+sorted by seed).  The oracle is symmetry.fixed_vertices, one labelling run
+and one top-down pass, near-linear in n, so no check caps the tree size.
+Reports carry no timing, so payloads are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import random
 
 from .coloring import color_near_distinguishing, color_tree, fix_radius
 from .errors import BadParams
-from .symmetry import Coloring, fix_report
+from .symmetry import Coloring, fixed_vertices
 from .tree_core import Record, Tree, max_valence, random_tree
 
 
@@ -76,7 +76,7 @@ def verify_fixing_guarantee(
     """Check that every vertex meeting the distance condition is fixed.
 
     Runs color_tree when no coloring is supplied, then compares the
-    oracle-computed fixed set against the set of vertices whose subtree
+    fixed set from fixed_vertices against the set of vertices whose subtree
     reaches a leaf at distance >= fix_radius(num_colors, max_valence).  With
     at least max_valence colors the radius is 0: every vertex must be fixed.
     """
@@ -85,10 +85,10 @@ def verify_fixing_guarantee(
         raise BadParams(f"need at least 2 colors, got {num_colors}")
     if coloring is None:
         coloring, _ = color_tree(tree, num_colors)
-    report = fix_report(tree, coloring)
+    fixed = fixed_vertices(tree, coloring)
     heights = tree.centered.heights
     radius = fix_radius(num_colors, k)
-    witnesses = [u for u in range(tree.n) if heights[u] >= radius and not report.fixed[u]]
+    witnesses = [u for u in range(tree.n) if heights[u] >= radius and not fixed[u]]
     failures = []
     if witnesses:
         failures.append(
@@ -116,7 +116,7 @@ def verify_near_distinguishing(tree: Tree, seed: int | None = None) -> CampaignR
     if k < 3:
         return CampaignReport(trials=1, skipped=1)
     coloring = color_near_distinguishing(tree)
-    unfixed = sorted(fix_report(tree, coloring).unfixed_set())
+    unfixed = [v for v, f in enumerate(fixed_vertices(tree, coloring)) if not f]
     ok = not unfixed
     if len(unfixed) == 2:
         a, b = unfixed

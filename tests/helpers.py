@@ -7,7 +7,8 @@ trees directly, so library results are checked against genuinely separate
 computations.  The reference_* functions
 are the straightforward versions of the parser, validator, center and rooting
 that the library's tuned versions must match exactly, errors included;
-reference_orbits is fix_report's orbit numbering as first written.
+reference_orbits is fix_report's orbit numbering as first written, and
+reference_random_tree is random_tree's randrange loop.
 
 reference_distinguishing_number is the plain scan over d = 1, 2, 3, ... that
 the library's galloping search must match, NotFoundWithinMax included.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import functools
 import gc
 import math
+import random
 import tracemalloc
 from collections import deque
 from dataclasses import dataclass
@@ -322,6 +324,24 @@ def reference_center(tree: Tree) -> tuple[int, ...]:
         removed += len(nxt)
         layer = nxt
     return tuple(sorted(layer))
+
+
+def reference_random_tree(n: int, max_degree: int, seed: int) -> Tree:
+    """random_tree as first written: each parent drawn with
+    random.Random(seed).randrange(v), redrawn while it is at the degree cap;
+    the library draws the same values from getrandbits directly."""
+    rng = random.Random(seed)
+    deg = [0] * n
+    edges = []
+    for v in range(1, n):
+        while True:
+            p = rng.randrange(v)
+            if deg[p] < max_degree:
+                break
+        deg[p] += 1
+        deg[v] += 1
+        edges.append((p, v))
+    return tree_from_edges(edges, n=n)
 
 
 def spider_tree(legs: int, length: int) -> Tree:

@@ -120,15 +120,15 @@ class TestColor:
 
     def test_dot_write_peak_memory(self, capsys, monkeypatch, tmp_path):
         # only the DOT write runs: the tree, coloring and trace are made
-        # beforehand and fix_report is stubbed.  Writing the DOT once peaked
-        # at 2.1 times the Tree (an f-string per vertex and per edge, an edge
-        # list, all joined into one string); written line by line it reads
-        # about 0.1 (see test_tree_core's TestPeakMemory for why a ratio)
+        # beforehand and the fixed pass is stubbed.  Writing the DOT once
+        # peaked at 2.1 times the Tree (an f-string per vertex and per edge,
+        # an edge list, all joined into one string); written line by line it
+        # reads about 0.1 (see test_tree_core's TestPeakMemory for why a ratio)
         tree, _, tree_bytes = helpers.traced_peak(lambda: random_tree(20000, 8, 0))
         made = coloring.color_tree(tree, 2)
         monkeypatch.setattr(cli, "read_tree", lambda path: tree)
         monkeypatch.setattr(cli, "color_tree", lambda *args, **kwargs: made)
-        monkeypatch.setattr(cli, "fix_report", lambda *args: symmetry.FixReport((), (), 1))
+        monkeypatch.setattr(cli, "fixed_vertices", lambda *args: [])
         argv = ["color", "-", "-c", "2", "--dot-out", str(tmp_path / "tree.dot")]
         code, peak, _ = helpers.traced_peak(lambda: main(argv))
         assert code == 0
@@ -534,6 +534,15 @@ class TestRootsOnce:
         assert code == 0
         assert built == {"center": 1, "RootedView": 1}
 
+    @pytest.mark.parametrize("spine, views", [([], 3), (["--spine", "0,1,2,3,4"], 2)])
+    def test_spine(self, capsys, built, spine, views):
+        # longest_spine roots the tree at 0 and at the spine's first vertex,
+        # and color_spine walks that second view; the fixed count adds the
+        # centered one
+        code, _, _ = run(capsys, "color", "-a", "spine", *spine, str(FIXDIR / "path5.tree"))
+        assert code == 0
+        assert built == {"center": 1, "RootedView": views}
+
     def test_campaign_trial(self, built):
         rooted = 0
         for index in range(200):
@@ -543,6 +552,48 @@ class TestRootsOnce:
             assert built["center"] == built["RootedView"] <= 1
             rooted += built["center"]
         assert rooted > 150
+
+
+class TestFixReportCalls:
+    """Every check reads the fixed pass; only verify --report builds the
+    orbits and the automorphism count."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("fix_report", "fixed_vertices"):
+            original = getattr(symmetry, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module in (symmetry, verifier, cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("c", ["2", "3"])
+    def test_color(self, capsys, calls, c):
+        code, out, _ = run(capsys, "color", "-c", c, str(FIXDIR / "hub10_tails2.tree"))
+        assert code == 0 and "fixed=" in out
+        assert calls == {"fixed_vertices": 1}
+
+    @pytest.mark.parametrize("extra, expected", [([], "fixed_vertices"), (["--report"], "fix_report")])
+    def test_verify(self, capsys, tmp_path, calls, extra, expected):
+        colj = tmp_path / "coloring.json"
+        tree_path = str(FIXDIR / "hub10_tails2.tree")
+        run(capsys, "color", "-c", "3", tree_path, "--coloring-out", str(colj))
+        calls.clear()
+        code, _, _ = run(capsys, "verify", tree_path, "--coloring", str(colj), *extra)
+        assert code == 0
+        assert calls == {expected: 1}
+
+    def test_campaign_trial(self, calls):
+        for index in range(200):
+            verifier._campaign_trial((0, index, 40, 8))
+        assert calls["fix_report"] == 0
+        assert calls["fixed_vertices"] > 300
 
 
 def _edge_list_bytes():

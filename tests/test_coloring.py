@@ -712,6 +712,14 @@ class TestColorSpine:
         base = random_tree(n, k, seed)
         t = tree_from_edges([(perm[u], perm[v]) for u, v in helpers.edges(base)], n=n)
         assert longest_spine(t) == helpers.reference_longest_spine(t)
+        # without a spine, color_spine colors along the longest one
+        try:
+            expected = color_spine(t, longest_spine(t))
+        except BadSpine:
+            with pytest.raises(BadSpine):
+                color_spine(t)
+        else:
+            assert color_spine(t) == expected
 
     def test_longest_spine_starts_at_leaf(self):
         for seed in range(20):

@@ -24,6 +24,7 @@ from treedist import (
     distinguishing_number,
     enumerate_automorphisms,
     fix_report,
+    fixed_vertices,
     longest_spine,
     max_valence,
     random_tree,
@@ -151,6 +152,70 @@ def totally_colored_trees(draw, max_n=40, max_degree=6):
     c = draw(st.integers(1, 3))
     colors = draw(st.lists(st.integers(0, c - 1), min_size=t.n, max_size=t.n))
     return t, Coloring(c, tuple(colors))
+
+
+@st.composite
+def matched_halves(draw):
+    """Two copies of a random tree joined at vertex 0 and its copy, so the
+    joining edge is the center; the copy's colors repeat the first half's
+    or are drawn afresh, so the halves match or (usually) differ."""
+    t = random_tree(draw(st.integers(1, 12)), draw(st.integers(2, 4)), draw(st.integers(0, 10**6)))
+    n = t.n
+    pairs = helpers.edges(t)
+    joined = tree_from_edges([*pairs, *((u + n, v + n) for u, v in pairs), (0, n)], n=2 * n)
+    half = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    first = draw(half)
+    second = first if draw(st.booleans()) else draw(half)
+    return joined, Coloring(2, tuple(first + second))
+
+
+@st.composite
+def colored_stars(draw):
+    leaves = draw(st.integers(1, 8))
+    c = draw(st.integers(1, 4))
+    colors = draw(st.lists(st.integers(0, c - 1), min_size=leaves + 1, max_size=leaves + 1))
+    return helpers.star_tree(leaves), Coloring(c, tuple(colors))
+
+
+class TestFixedVertices:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=st.one_of(
+            totally_colored_trees(),
+            totally_colored_trees(max_n=2),
+            colored_stars(),
+            matched_halves(),
+        )
+    )
+    def test_matches_fix_report_and_orbit_sizes(self, case):
+        # the fixed pass, fix_report's fixed set and "orbit of size 1" under
+        # the reference orbit numbering all agree
+        t, coloring = case
+        fixed = fixed_vertices(t, coloring)
+        assert fixed == list(fix_report(t, coloring).fixed)
+        rv = t.centered
+        orbit = helpers.reference_orbits(rv, canonical_labels(rv, coloring.colors))
+        sizes = Counter(orbit)
+        assert fixed == [sizes[o] == 1 for o in orbit]
+
+    def test_edge_center_halves(self):
+        # a path of 4: mirrored colors let the halves swap, otherwise nothing moves
+        t = helpers.path_tree(4)
+        assert fixed_vertices(t, Coloring(2, (0, 1, 1, 0))) == [False] * 4
+        assert fixed_vertices(t, Coloring(2, (0, 1, 1, 1))) == [True] * 4
+
+    def test_small_trees(self):
+        assert fixed_vertices(tree_from_edges([], n=1), mono(1)) == [True]
+        assert fixed_vertices(helpers.path_tree(2), mono(2)) == [False, False]
+        assert fixed_vertices(helpers.path_tree(2), Coloring(2, (1, 0))) == [True, True]
+        assert fixed_vertices(helpers.star_tree(3), Coloring(2, (0, 0, 0, 1))) == [True, False, False, True]
+
+    def test_partial_coloring_rejected(self):
+        t = helpers.path_tree(3)
+        with pytest.raises(PartialColoring):
+            fixed_vertices(t, Coloring(2, (0, UNCOLORED, 0)))
+        with pytest.raises(PartialColoring):
+            fixed_vertices(t, Coloring(2, (0, 1)))
 
 
 class TestFixReport:

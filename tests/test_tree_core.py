@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import re
 import tracemalloc
 from array import array
@@ -751,6 +752,26 @@ class TestRandomTree:
     def test_infeasible(self):
         with pytest.raises(InfeasibleParams):
             random_tree(10, 1, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    def test_matches_randrange_loop(self, seed):
+        # the parents are drawn from getrandbits as randrange(v) draws them
+        for n in range(1, 65):
+            for k in range(2, 10):
+                assert random_tree(n, k, seed) == helpers.reference_random_tree(n, k, seed), (n, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 2000), k=st.integers(2, 9), seed=st.integers(0, 2**64))
+    def test_matches_randrange_loop_large(self, n, k, seed):
+        assert random_tree(n, k, seed) == helpers.reference_random_tree(n, k, seed)
+
+    def test_gen_bytes_pinned(self, tmp_path):
+        # the sha256 of `treedist gen -n 20000 -k 8 -s 0`, recorded while
+        # random_tree still called randrange
+        out = tmp_path / "t.tree"
+        assert main(["gen", "-n", "20000", "-k", "8", "-s", "0", "-o", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "f9dc6e4b33ab987084683a3f3666b32374f2a23dc65d0f46742e91c2cdc3db4a"
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 30), k=st.integers(2, 6), seed=st.integers(0, 10**6))
