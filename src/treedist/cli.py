@@ -26,7 +26,7 @@ from .coloring import (
     ColoringTrace,
 )
 from .errors import BadFormat, TreedistError
-from .symmetry import Coloring, distinguishing_number, fix_report, fixed_vertices
+from .symmetry import UNCOLORED, Coloring, distinguishing_number, fix_report, fixed_vertices
 from .tree_core import Tree, edge_list_lines, max_valence, parse_edge_list, random_tree
 from .verifier import run_random_campaign, verify_fixing_guarantee
 
@@ -50,29 +50,29 @@ def read_tree(path: str) -> Tree:
     return parse_edge_list(text)
 
 
-def _dot_lines(tree: Tree, coloring: Coloring | None = None, trace: ColoringTrace | None = None) -> Iterator[str]:
+def _dot_lines(tree: Tree, coloring: Coloring, trace: ColoringTrace) -> Iterator[str]:
     """Graphviz rendering, one line at a time, each ending in a newline:
     vertices filled by color index (8-entry palette, cycling), main-line
     edges drawn with penwidth 2.  cmd_color writes the lines as they are
     made, so the whole text is never held at once."""
     bold = set()
-    if trace is not None:
-        for line in trace.main_lines:
-            for u, v in zip(line.vertices, line.vertices[1:]):
-                bold.add((min(u, v), max(u, v)))
+    for line in trace.main_lines:
+        for u, v in zip(line.vertices, line.vertices[1:]):
+            bold.add((min(u, v), max(u, v)))
     yield "graph tree {\n"
     yield "  node [style=filled, shape=circle];\n"
-    for v in range(tree.n):
-        if coloring is None or coloring.colors[v] < 0:
-            yield f'  {v} [fillcolor="none"];\n'
-            continue
-        fill = DOT_PALETTE[coloring.colors[v] % len(DOT_PALETTE)]
+    # each color's attributes are written once, not once per vertex
+    attrs = {UNCOLORED: ' [fillcolor="none"];\n'}
+    for c in range(coloring.num_colors):
+        fill = DOT_PALETTE[c % len(DOT_PALETTE)]
         font = ', fontcolor="white"' if fill == "black" else ""
-        yield f'  {v} [fillcolor="{fill}"{font}];\n'
+        attrs[c] = f' [fillcolor="{fill}"{font}];\n'
+    for v, attr in enumerate(map(attrs.__getitem__, coloring.colors)):
+        yield f"  {v}{attr}"
     for u, nbrs in enumerate(tree.adjacency):
         for v in nbrs:
             if u < v:
-                attr = " [penwidth=2]" if (u, v) in bold else ""
+                attr = " [penwidth=2]" if bold and (u, v) in bold else ""
                 yield f"  {u} -- {v}{attr};\n"
     yield "}\n"
 

@@ -209,27 +209,30 @@ def color_tree(
 
     def twins(siblings: list[int]) -> list[list[int]]:
         """Groups (ascending, >= 2 members, ordered by first member) of
-        admitted siblings whose colored subtrees are isomorphic.  Such twins
-        share their own color and their uncolored shape, so only classes of
-        that pair with two or more members are labelled by colored subtree."""
+        admitted siblings whose colored subtrees are isomorphic: those that
+        share their own color and their uncolored shape.
+
+        No member has a colored proper descendant yet.  Every colored vertex
+        has a colored parent: the roots come first, steps 2 and 3 run in BFS
+        order, a main line runs down from its colored anchor, and step 4 and
+        _two_color_descent color only children of colored vertices.  A
+        sibling set is colored when it is created and separated when it is
+        popped; in between, separate() colors only inside other members'
+        subtrees, which are disjoint from it.  So two members' colored
+        subtrees are isomorphic exactly when their colors and their shapes
+        are equal.  Every set arrives in ascending order, and the dict keeps
+        the groups in order of their first member.
+        """
         nonlocal shape
-        admitted = [x for x in sorted(siblings) if heights[x] >= radius]
+        admitted = [x for x in siblings if heights[x] >= radius]
         if len(admitted) < 2:
             return []
         if shape is None:
             shape = canonical_labels(rv, [0] * n)
-        candidates: dict[tuple[int, int], list[int]] = {}
+        groups: dict[tuple[int, int], list[int]] = {}
         for x in admitted:
-            candidates.setdefault((colors[x], shape[x]), []).append(x)
-        multi: list[list[int]] = []
-        for cand in candidates.values():
-            if len(cand) < 2:
-                continue
-            groups: dict[int, list[int]] = {}
-            for x, label in zip(cand, canonical_labels(rv, colors, cand)):
-                groups.setdefault(label, []).append(x)
-            multi.extend(g for g in groups.values() if len(g) >= 2)
-        return sorted(multi, key=lambda g: g[0])
+            groups.setdefault((colors[x], shape[x]), []).append(x)
+        return [g for g in groups.values() if len(g) >= 2]
 
     def step4(line: MainLine) -> list[list[int]]:
         created: list[list[int]] = []
@@ -410,11 +413,13 @@ def color_near_distinguishing(tree: Tree) -> Coloring:
     _fill_sibling_distinct(rv, colors, num)
     if len(nbrs) == num + 1 and num >= 2:
         # full-valence center: first and last neighbor share color 0
+        # two bare sibling leaves stay as the allowed exceptional pair, and
+        # branches of different heights are not isomorphic
         twin_a, twin_b = nbrs[0], nbrs[num]
-        label_a, label_b = canonical_labels(rv, colors, (twin_a, twin_b))
-        if label_a == label_b and rv.children[twin_b]:
-            _retint_one_leaf(rv, colors, num, twin_b)
-        # two bare sibling leaves stay as the allowed exceptional pair
+        if rv.children[twin_b] and rv.heights[twin_a] == rv.heights[twin_b]:
+            labels = canonical_labels(rv, colors)
+            if labels[twin_a] == labels[twin_b]:
+                _retint_one_leaf(rv, colors, num, twin_b)
     return Coloring(num, tuple(colors))
 
 

@@ -5,9 +5,12 @@ scheme: bottom-up, each vertex's (color, sorted child labels) pair is interned
 to a small integer, so equal labels mean isomorphic colored rooted subtrees.
 A vertex with k children costs one sort of k integers and one dict lookup,
 O(n log k) for a tree of max valence k, where nested byte codes grew with
-subtree size, O(n^2) on a path.  Those byte-code builders (canonical_codes,
-subtree_code, structural_codes) remain as reference oracles for the tests
-and the benchmark's traced run; no library path calls one.
+subtree size, O(n^2) on a path.  It always labels the whole rooted view:
+color_tree labels the uncolored shape once and groups sibling twins by
+color and shape, which suffices because no twin has a colored descendant
+yet.  The byte-code builders (canonical_codes, subtree_code,
+structural_codes) remain as reference oracles for the tests and the
+benchmark's traced run; no library path calls one.
 
 Everything here is pure given immutable inputs, so different trees can be
 processed in parallel without coordination.  fixed_vertices decides which
@@ -76,52 +79,34 @@ class Coloring(Record):
         return cls(num_colors=num_colors, colors=colors)
 
 
-def canonical_labels(
-    rv: RootedView, colors: Sequence[int], tops: Sequence[int] | None = None
-) -> list[int]:
-    """Canonical integer label of the colored subtree below each vertex of `tops`.
+def canonical_labels(rv: RootedView, colors: Sequence[int]) -> list[int]:
+    """Canonical integer label of the colored subtree below every vertex,
+    indexed by vertex.
 
     Labels are assigned bottom-up: each vertex's key is its color together
     with the sorted labels of its children, and every distinct key is interned
     to the next small integer.  The intern table is shared by all vertices of
     one call, so two of them get equal labels exactly when their rooted
     colored subtrees are isomorphic.  UNCOLORED is a color like any other.
-    Without `tops` every vertex is labelled and the result is indexed by
-    vertex; with `tops` only their subtrees are visited and the result
-    follows the order of `tops`.  Labels from different calls are unrelated.
+    Labels from different calls are unrelated.
     """
     # a leaf's key is its color alone and a single child's key holds that
     # child's label bare; the three key shapes cannot collide, so labels are
     # those of (color, sorted child labels) keys without building the tuple
     table: dict[int | tuple[int, int] | tuple[int, tuple[int, ...]], int] = {}
     children = rv.children
-    if tops is None:
-        labels: list[int] | dict[int, int] = [0] * rv.tree.n
-        order: Iterable[int] = reversed(rv.order)
-    else:
-        labels = {}
-        # every vertex is listed before its descendants, so reversed() puts
-        # children first
-        listed: list[int] = []
-        stack = list(tops)
-        while stack:
-            u = stack.pop()
-            listed.append(u)
-            stack.extend(children[u])
-        order = reversed(listed)
+    labels = [0] * rv.tree.n
     label_of = labels.__getitem__
-    for u in order:
+    for u in reversed(rv.order):
         below = children[u]
         if not below:
             key = colors[u]
         elif len(below) == 1:
-            key = (colors[u], label_of(below[0]))
+            key = (colors[u], labels[below[0]])
         else:
             key = (colors[u], tuple(sorted(map(label_of, below))))
         labels[u] = table.setdefault(key, len(table))
-    if tops is None:
-        return labels
-    return [labels[t] for t in tops]
+    return labels
 
 
 def _byte_codes(
@@ -153,7 +138,8 @@ def canonical_codes(rv: RootedView, coloring: Coloring) -> list[bytes]:
 
 def subtree_code(rv: RootedView, colors: list[int], num_colors: int, u: int) -> bytes:
     """Canonical byte code of u's subtree over a raw color array (partial
-    allowed); the reference oracle for canonical_labels with `tops`."""
+    allowed); the reference oracle for the labels canonical_labels gives
+    siblings."""
     return _byte_codes(rv, reversed(rv.subtree(u)), colors, num_colors)[u]
 
 

@@ -13,9 +13,11 @@ callers compare with the fixing threshold coloring.fix_radius.
 A tree is validated by leaf peeling: with exactly n-1 edges the graph is a
 tree when repeatedly removing every leaf removes all vertices.  The same
 peel yields the center (the last layer), which the Tree keeps until
-Tree.centered is built, so no tree is peeled twice.  Every RootedView, at
-the center or elsewhere, is built by one breadth-first loop over the
-adjacency tuples and one bottom-up pass for the heights.
+Tree.centered is built, so no tree is peeled twice.  random_tree cannot
+make anything but a tree, so it is peeled only when its center is asked
+for.  Every RootedView, at the center or elsewhere, is built by one
+breadth-first loop over the adjacency tuples and one bottom-up pass for the
+heights.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ def tree_from_edges(edges: Iterable[tuple[int, int]], n: int | None = None) -> T
 
 def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
     """tree_from_edges on the edges' ends laid out flat: edge i joins
-    ends[2i] and ends[2i+1].  parse_edge_list and random_tree fill an array
-    of machine ints, so no int object is kept per end.  ends is emptied once
+    ends[2i] and ends[2i+1].  parse_edge_list fills an array of machine
+    ints, so no int object is kept per end.  ends is emptied once
     the tree is validated; the Tree keeps the center that the validating
     peel found for its center-rooted view."""
     m = len(ends) // 2
@@ -321,9 +323,9 @@ def max_valence(tree: Tree) -> int:
 def center(tree: Tree) -> tuple[int, ...]:
     """Center by repeated leaf peeling: the sorted tuple of the one vertex or
     the two endpoints of the one edge that remain.  A Tree built by
-    tree_from_edges, parse_edge_list or random_tree was peeled when it was
-    validated; any other is peeled here.  The tree keeps the center until
-    Tree.centered is built, whose roots are the center from then on."""
+    tree_from_edges or parse_edge_list was peeled when it was validated;
+    any other, random_tree's included, is peeled here.  The tree keeps the
+    center until Tree.centered is built, whose roots are the center then."""
     view = tree.__dict__.get("centered")
     if view is not None:
         return view.roots
@@ -443,17 +445,18 @@ def random_tree(n: int, max_degree: int, seed: int) -> Tree:
     if n == 2 and max_degree < 1:
         raise InfeasibleParams("an edge needs degree 1 at both ends")
     getrandbits = random.Random(seed).getrandbits
-    ends = array("q")
-    append = ends.append
-    # every vertex but 0 gets its edge to its parent as it is attached
-    deg = [1] * n
-    deg[0] = 0
-    for v in range(1, n):
+    # a parent precedes its children, so each list comes out sorted; its
+    # length is the degree, and names[p] is p's one int object
+    names = list(range(n))
+    adj: list = [[] for _ in names]
+    for v in islice(names, 1, None):
         bits = v.bit_length()
         p = getrandbits(bits)
-        while p >= v or deg[p] >= max_degree:
+        while p >= v or len(adj[p]) >= max_degree:
             p = getrandbits(bits)
-        deg[p] += 1
-        append(p)
-        append(v)
-    return _tree_from_ends(ends, n)
+        adj[p].append(v)
+        adj[v].append(names[p])
+    del names
+    for v, nbrs in enumerate(adj):
+        adj[v] = tuple(nbrs)
+    return Tree(n, tuple(adj))

@@ -34,6 +34,7 @@ from treedist import (
 from treedist.cli import _dot_lines
 from treedist.errors import BadParams, BudgetExceeded, NotFoundWithinMax, PartialColoring, TreedistError
 from treedist.symmetry import VERIFY_BATCH, _check_batch, subtree_code
+import treedist.coloring as coloring_module
 import treedist.symmetry as symmetry
 import treedist.tree_core as tree_core
 
@@ -132,12 +133,12 @@ class TestCanonicalLabels:
     def test_sibling_labels_match_subtree_codes(self, case):
         rv, coloring = case
         colors = list(coloring.colors)
+        labels = canonical_labels(rv, colors)
         for kids in rv.children:
-            labels = canonical_labels(rv, colors, kids)
-            codes = [subtree_code(rv, colors, coloring.num_colors, x) for x in kids]
-            for i in range(len(kids)):
-                for j in range(len(kids)):
-                    assert (labels[i] == labels[j]) == (codes[i] == codes[j])
+            codes = {x: subtree_code(rv, colors, coloring.num_colors, x) for x in kids}
+            for x in kids:
+                for y in kids:
+                    assert (labels[x] == labels[y]) == (codes[x] == codes[y])
 
     def test_uncolored_is_its_own_color(self):
         rv = root_at(helpers.star_tree(3), 0)
@@ -990,3 +991,70 @@ class TestSiblingFillGolden:
     def test_random_trees_pinned(self):
         got = _digest(json.dumps([_sibling_fill_outcomes(t) for t in _random_fill_trees()]))
         assert got == GOLDEN_SIBLING_FILL["random_300"]
+
+
+def _separation_trees():
+    """Trees on which color_tree groups sibling twins: spiders with equal
+    legs, complete k-ary trees, hubs of glued copies, caterpillars, and 500
+    seeded random trees."""
+    for legs in range(3, 9):
+        for length in range(1, 5):
+            yield helpers.spider_tree(legs, length)
+    for k in range(3, 8):
+        for depth in range(1, 4):
+            yield helpers.complete_tree(k, depth)
+    subs = (
+        helpers.complete_tree(3, 2),
+        helpers.complete_tree(3, 3),
+        helpers.spider_tree(2, 2),
+        helpers.caterpillar_tree(3, 2),
+    )
+    for copies in range(2, 7):
+        for sub in subs:
+            yield _hub(copies, sub)
+    for spine in range(2, 8):
+        for legs in range(1, 6):
+            yield helpers.caterpillar_tree(spine, legs)
+    rng = random.Random(1815)
+    for seed in range(500):
+        yield random_tree(rng.randint(1, 120), rng.randint(3, 8), seed)
+
+
+#: One digest of color_tree's coloring and trace at every c from 2 to the
+#: max valence, and of color_near_distinguishing, over _separation_trees;
+#: recorded while twins still relabelled each candidate class by its
+#: colored subtrees.
+GOLDEN_SEPARATION = "343d7f9a2d163cea"
+
+
+def test_separation_outputs_pinned():
+    digest = hashlib.sha256()
+    lines = 0
+    for t in _separation_trees():
+        for c in range(2, max_valence(t) + 1):
+            coloring, trace = color_tree(t, c)
+            lines += len(trace.main_lines)
+            digest.update(json.dumps([coloring.to_json_dict(), trace.to_json_dict()]).encode())
+        digest.update(json.dumps(color_near_distinguishing(t).to_json_dict()).encode())
+    assert lines >= 100
+    assert digest.hexdigest()[:16] == GOLDEN_SEPARATION
+
+
+class TestColorTreeLabelCalls:
+    """color_tree labels the uncolored shape once and groups twins by color
+    and shape; it never labels a colored subtree."""
+
+    @pytest.mark.parametrize("name, c", [("hub4_binary4", 2), ("complete_1_7_depth3", 3)])
+    def test_one_shape_labelling(self, monkeypatch, name, c):
+        t = _golden_tree(name)
+        calls = []
+        original = coloring_module.canonical_labels
+
+        def counted(rv, colors):
+            calls.append(set(colors))
+            return original(rv, colors)
+
+        monkeypatch.setattr(coloring_module, "canonical_labels", counted)
+        _, trace = color_tree(t, c)
+        assert len(trace.line_groups) >= 2
+        assert calls == [{0}]

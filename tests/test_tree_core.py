@@ -169,7 +169,9 @@ class TestPeakMemory:
         if build == "parse":
             tree = parse_edge_list(format_edge_list(probe))
         elif build == "random_tree":
+            # built unpeeled: the peel comes with the first center() call
             tree = random_tree(2000, 5, 1)
+            center(tree)
         else:
             tree = Tree(probe.n, probe.adjacency)
             center(tree)
@@ -181,12 +183,13 @@ class TestPeakMemory:
         assert not _arrays_on(tree)
 
     def test_one_int_object_per_vertex(self):
-        tree = parse_edge_list(format_edge_list(helpers.memory_probe_tree()))
-        names = {}
-        for nbrs in tree.adjacency:
-            for v in nbrs:
-                assert names.setdefault(v, v) is v
-        assert len(names) == tree.n
+        built = helpers.memory_probe_tree()
+        for tree in (parse_edge_list(format_edge_list(built)), built):
+            names = {}
+            for nbrs in tree.adjacency:
+                for v in nbrs:
+                    assert names.setdefault(v, v) is v
+            assert len(names) == tree.n
 
     def test_root_at(self):
         tree = helpers.memory_probe_tree()
@@ -349,6 +352,14 @@ class TestOnePeel:
         t = tree_from_edges([(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 8)])
         (anchor,) = center(t)
         fix_report(t, color_anchored(t, anchor))
+        assert len(peels) == 1
+
+    def test_random_tree_peeled_on_first_center(self, peels):
+        # random_tree cannot make anything but a tree, so it is not peeled
+        # until its center is asked for, and then once
+        t = random_tree(50, 4, 3)
+        assert peels == []
+        assert center(t) == center(t) == helpers.reference_center(t)
         assert len(peels) == 1
 
     def test_centered_then_center(self, peels):
