@@ -50,20 +50,22 @@ def read_tree(path: str) -> Tree:
     return parse_edge_list(text)
 
 
-def _dot_lines(tree: Tree, coloring: Coloring, trace: ColoringTrace) -> Iterator[str]:
+def _dot_lines(tree: Tree, coloring: Coloring, trace: ColoringTrace | None) -> Iterator[str]:
     """Graphviz rendering, one line at a time, each ending in a newline:
     vertices filled by color index (8-entry palette, cycling), main-line
-    edges drawn with penwidth 2.  cmd_color writes the lines as they are
-    made, so the whole text is never held at once."""
+    edges drawn with penwidth 2 (none without a trace: only the main
+    algorithm makes one).  cmd_color writes the lines as they are made, so
+    the whole text is never held at once."""
     bold = set()
-    for line in trace.main_lines:
+    for line in trace.main_lines if trace is not None else ():
         for u, v in zip(line.vertices, line.vertices[1:]):
             bold.add((min(u, v), max(u, v)))
     yield "graph tree {\n"
     yield "  node [style=filled, shape=circle];\n"
-    # each color's attributes are written once, not once per vertex
+    # the attributes of each color in use are written once, not once per
+    # vertex; num_colors may be far larger than the colors used
     attrs = {UNCOLORED: ' [fillcolor="none"];\n'}
-    for c in range(coloring.num_colors):
+    for c in set(coloring.colors) - {UNCOLORED}:
         fill = DOT_PALETTE[c % len(DOT_PALETTE)]
         font = ', fontcolor="white"' if fill == "black" else ""
         attrs[c] = f' [fillcolor="{fill}"{font}];\n'

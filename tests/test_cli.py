@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -133,6 +134,41 @@ class TestColor:
         code, peak, _ = helpers.traced_peak(lambda: main(argv))
         assert code == 0
         assert peak < 1.0 * tree_bytes, (peak, tree_bytes)
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["-a", "near", "hub10_tails2"], "0c64dbad481d2ee8"),
+            (["-a", "near", "complete_1_3_depth3"], "d571503cc75501b6"),
+            (["-a", "regular", "complete_1_4_depth2"], "b6d2249d0a8b8087"),
+            (["-a", "spine", "path5"], "fd1aa37d6fea487f"),
+            (["-a", "spine", "hub10_tails2"], "2946e0cc7f06f257"),
+            (["-a", "anchored", "--anchor", "16", "complete_1_4_depth2"], "9974c729832184e7"),
+            (["-a", "anchored", "--anchor", "0", "path10"], "741190cdfa5b7cf3"),
+        ],
+    )
+    def test_dot_without_trace_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        # only the main algorithm makes a trace; the others draw no bold
+        # edge.  Digests are sha256 prefixes of the DOT bytes
+        *flags, name = argv
+        dot = tmp_path / "tree.dot"
+        code, _, _ = run(capsys, "color", *flags, str(FIXDIR / f"{name}.tree"), "--dot-out", str(dot))
+        assert code == 0
+        text = dot.read_bytes()
+        assert b"penwidth" not in text
+        assert hashlib.sha256(text).hexdigest()[:16] == digest
+
+    def test_dot_cost_independent_of_color_count(self, capsys, tmp_path):
+        # any c >= k colors every vertex distinctly, so the bytes are those
+        # of c = 10 (GOLDEN_FIX_AND_DOT); the DOT once made one attribute
+        # string per color in 0..c-1, some 100 MB at this c
+        dot = tmp_path / "tree.dot"
+        argv = ["color", "-c", "1000000", str(FIXDIR / "hub10_tails2.tree"), "--dot-out", str(dot)]
+        code, peak, _ = helpers.traced_peak(lambda: main(argv))
+        capsys.readouterr()
+        assert code == 0
+        assert hashlib.sha256(dot.read_bytes()).hexdigest()[:16] == "175a1e805feb2da0"
+        assert peak < 1_000_000, peak
 
     def test_missing_colors_exit2(self, capsys):
         code, _, err = run(capsys, "color", str(FIXDIR / "path10.tree"))
