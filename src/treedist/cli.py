@@ -5,6 +5,10 @@ Subcommands: color, verify, dnumber, table, gen, campaign.  Exit codes:
 subcommand caps the tree size.  All payload outputs (edge lists,
 coloring/trace JSON, DOT, campaign JSON) are deterministic given the flags;
 nothing embeds timestamps, and campaign's run time goes to stderr.
+
+Each cmd_* function imports the layers it runs, so a process compiles only
+those: table and gen need only tree_core, verify and dnumber skip the
+colorings, and color skips the verifier.
 """
 
 from __future__ import annotations
@@ -16,19 +20,13 @@ import time
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
-from .coloring import (
-    color_anchored,
-    color_near_distinguishing,
-    color_regular,
-    color_spine,
-    color_tree,
-    fix_radius,
-    ColoringTrace,
-)
-from .errors import BadFormat, TreedistError
-from .symmetry import UNCOLORED, Coloring, distinguishing_number, fix_report, fixed_vertices
-from .tree_core import Tree, edge_list_lines, max_valence, parse_edge_list, random_tree
-from .verifier import run_random_campaign, verify_fixing_guarantee
+from .errors import BadFormat, BadParams, TreedistError
+from .tree_core import Tree, fix_radius, max_valence, parse_edge_list
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only; color imports both modules itself
+    from .coloring import ColoringTrace
+    from .symmetry import Coloring
 
 #: List elements joined into one string at a time when writing JSON.
 JSON_BATCH = 4096
@@ -56,6 +54,8 @@ def _dot_lines(tree: Tree, coloring: Coloring, trace: ColoringTrace | None) -> I
     edges drawn with penwidth 2 (none without a trace: only the main
     algorithm makes one).  cmd_color writes the lines as they are made, so
     the whole text is never held at once."""
+    from .symmetry import UNCOLORED
+
     bold = set()
     for line in trace.main_lines if trace is not None else ():
         for u, v in zip(line.vertices, line.vertices[1:]):
@@ -81,6 +81,8 @@ def _dot_lines(tree: Tree, coloring: Coloring, trace: ColoringTrace | None) -> I
 
 def render_radius_table(c_max: int = 7, k_max: int = 16) -> str:
     """Aligned grid of fix_radius values, '-' where c > k."""
+    if c_max < 2 or k_max < 2:
+        raise BadParams(f"the table needs c_max >= 2 and k_max >= 2, got {c_max} and {k_max}")
     ks = list(range(2, k_max + 1))
     lines = ["c\\k" + "".join(f"{k:>3}" for k in ks)]
     for c in range(2, c_max + 1):
@@ -122,6 +124,9 @@ def _write_or_print(lines: Iterable[str], path: str | None) -> None:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
+    from .coloring import color_anchored, color_near_distinguishing, color_regular, color_spine, color_tree
+    from .symmetry import fixed_vertices
+
     tree = read_tree(args.tree)
     k = max_valence(tree)
     trace = None
@@ -164,6 +169,9 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .symmetry import Coloring, fix_report
+    from .verifier import verify_fixing_guarantee
+
     tree = read_tree(args.tree)
     with open(args.coloring, "r", encoding="utf-8") as fh:
         try:
@@ -184,6 +192,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_dnumber(args: argparse.Namespace) -> int:
+    from .symmetry import distinguishing_number
+
     tree = read_tree(args.tree)
     max_colors = args.max_colors if args.max_colors is not None else max_valence(tree) + 1
     d = distinguishing_number(tree, max_colors)
@@ -197,12 +207,16 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .tree_core import edge_list_lines, random_tree
+
     tree = random_tree(args.nodes, args.max_degree, args.seed)
     _write_or_print(edge_list_lines(tree), args.out)
     return 0
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from .verifier import run_random_campaign
+
     start = time.perf_counter()
     rep = run_random_campaign(args.trials, args.n_max, args.k_max, args.seed, jobs=args.jobs)
     seconds = time.perf_counter() - start
@@ -240,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree")
     p.add_argument("--coloring", required=True, help="coloring JSON file")
     p.add_argument("--report", action="store_true", help="print the raw orbit report instead")
-    # ignored, as is dnumber's --size-guard; deleted once ROADMAP item 4 drops both from the benchmark
+    # ignored, as is dnumber's --size-guard; deleted once ROADMAP item 6 drops both from the benchmark
     p.add_argument("--max-n", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 

@@ -17,36 +17,8 @@ from __future__ import annotations
 
 from .errors import BadParams, BadSpine, IndexOverflow, NotRegularProfile
 from .symmetry import UNCOLORED, Coloring, canonical_labels
-from .tree_core import Record, RootedView, Tree, max_valence, root_at
-
-
-def fix_radius(num_colors: int, max_degree: int) -> int:
-    """Least subtree height at which color_tree fixes a vertex, with
-    num_colors colors on a tree of max valence max_degree.
-
-    Zero when the tree is a path or there are at least max_degree colors;
-    one when exactly max_degree - 1 colors are available; otherwise the
-    least integer at or above log_c(max{3, ceil((k-2)/(c-1))}), plus one in
-    the two-color case.  Every use compares the threshold with an integer
-    height, so this smallest admitted integer decides exactly what the log
-    form decides; it is found by exact integer powers, without floats.
-    """
-    c, k = num_colors, max_degree
-    if c < 2:
-        raise BadParams("need at least 2 colors")
-    if k < 0:
-        raise BadParams("max_degree must be >= 0")
-    if k <= 2 or c >= k:
-        return 0
-    if c == k - 1:
-        return 1
-    argument = max(3, -((k - 2) // -(c - 1)))
-    radius = 1 if c == 2 else 0
-    power = 1
-    while power < argument:
-        power *= c
-        radius += 1
-    return radius
+# fix_radius lived here before tree_core, and stays importable from here
+from .tree_core import Record, RootedView, Tree, fix_radius, max_valence, root_at
 
 
 def balanced_colors(count: int, palette: list[int], pairs_required: bool = False) -> list[int]:

@@ -8,7 +8,7 @@ Tree carries its center-rooted view, Tree.centered, built on first use and
 then shared by all callers; the view is a deterministic function of the
 tree, so building it twice yields equal views and sharing stays safe.
 RootedView.heights holds each vertex's subtree height, the integer that
-callers compare with the fixing threshold coloring.fix_radius.
+callers compare with the fixing threshold fix_radius.
 
 A tree is validated by leaf peeling: with exactly n-1 edges the graph is a
 tree when repeatedly removing every leaf removes all vertices.  The same
@@ -318,6 +318,35 @@ def format_edge_list(tree: Tree) -> str:
 def max_valence(tree: Tree) -> int:
     """Largest vertex degree (0 for the single-vertex tree)."""
     return max(map(len, tree.adjacency))
+
+
+def fix_radius(num_colors: int, max_degree: int) -> int:
+    """Least subtree height at which color_tree fixes a vertex, with
+    num_colors colors on a tree of max valence max_degree.
+
+    Zero when the tree is a path or there are at least max_degree colors;
+    one when exactly max_degree - 1 colors are available; otherwise the
+    least integer at or above log_c(max{3, ceil((k-2)/(c-1))}), plus one in
+    the two-color case.  Every use compares the threshold with an integer
+    height, so this smallest admitted integer decides exactly what the log
+    form decides; it is found by exact integer powers, without floats.
+    """
+    c, k = num_colors, max_degree
+    if c < 2:
+        raise BadParams("need at least 2 colors")
+    if k < 0:
+        raise BadParams("max_degree must be >= 0")
+    if k <= 2 or c >= k:
+        return 0
+    if c == k - 1:
+        return 1
+    argument = max(3, -((k - 2) // -(c - 1)))
+    radius = 1 if c == 2 else 0
+    power = 1
+    while power < argument:
+        power *= c
+        radius += 1
+    return radius
 
 
 def center(tree: Tree) -> tuple[int, ...]:

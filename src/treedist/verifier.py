@@ -14,10 +14,18 @@ from __future__ import annotations
 import os
 import random
 
-from .coloring import color_near_distinguishing, color_tree, fix_radius
 from .errors import BadParams
 from .symmetry import Coloring, fixed_vertices
-from .tree_core import Record, Tree, max_valence, random_tree
+from .tree_core import Record, Tree, fix_radius, max_valence, random_tree
+
+#: Bound by _import_colorings when a check first colors a tree, so checking
+#: a coloring that is given, as `treedist verify` does, never loads them.
+color_tree = color_near_distinguishing = None
+
+
+def _import_colorings() -> None:
+    global color_tree, color_near_distinguishing
+    from .coloring import color_near_distinguishing, color_tree
 
 
 class Failure(Record):
@@ -84,6 +92,8 @@ def verify_fixing_guarantee(
     if num_colors < 2:
         raise BadParams(f"need at least 2 colors, got {num_colors}")
     if coloring is None:
+        if color_tree is None:
+            _import_colorings()
         coloring, _ = color_tree(tree, num_colors)
     fixed = fixed_vertices(tree, coloring)
     heights = tree.centered.heights
@@ -115,6 +125,8 @@ def verify_near_distinguishing(tree: Tree, seed: int | None = None) -> CampaignR
     k = max_valence(tree)
     if k < 3:
         return CampaignReport(trials=1, skipped=1)
+    if color_near_distinguishing is None:
+        _import_colorings()
     coloring = color_near_distinguishing(tree)
     unfixed = [v for v, f in enumerate(fixed_vertices(tree, coloring)) if not f]
     ok = not unfixed
@@ -171,6 +183,8 @@ def run_random_campaign(
     near-distinguishing guarantee.  Deterministic for fixed arguments."""
     if trials < 1 or n_max < 1 or k_max < 2:
         raise BadParams("need trials >= 1, n_max >= 1, k_max >= 2")
+    # bound before the pool forks its workers, so no trial imports them
+    _import_colorings()
     work = [(seed, i, n_max, k_max) for i in range(trials)]
     # more workers than trials or cores only costs process start-ups
     workers = min(jobs, trials, os.cpu_count() or 1)

@@ -55,7 +55,7 @@ class TestGen:
         # peaked at 1.2 times the Tree; written line by line it reads about
         # 0.16 (see test_tree_core's TestPeakMemory for why a ratio)
         tree, _, tree_bytes = helpers.traced_peak(lambda: random_tree(20000, 8, 0))
-        monkeypatch.setattr(cli, "random_tree", lambda *args: tree)
+        monkeypatch.setattr(tree_core, "random_tree", lambda *args: tree)
         out = tmp_path / "gen.tree"
         code, peak, _ = helpers.traced_peak(lambda: main(["gen", "-n", "20000", "-k", "8", "-o", str(out)]))
         assert code == 0
@@ -128,8 +128,8 @@ class TestColor:
         tree, _, tree_bytes = helpers.traced_peak(lambda: random_tree(20000, 8, 0))
         made = coloring.color_tree(tree, 2)
         monkeypatch.setattr(cli, "read_tree", lambda path: tree)
-        monkeypatch.setattr(cli, "color_tree", lambda *args, **kwargs: made)
-        monkeypatch.setattr(cli, "fixed_vertices", lambda *args: [])
+        monkeypatch.setattr(coloring, "color_tree", lambda *args, **kwargs: made)
+        monkeypatch.setattr(symmetry, "fixed_vertices", lambda *args: [])
         argv = ["color", "-", "-c", "2", "--dot-out", str(tmp_path / "tree.dot")]
         code, peak, _ = helpers.traced_peak(lambda: main(argv))
         assert code == 0
@@ -390,6 +390,18 @@ class TestTable:
     def test_rendering_stable(self):
         assert render_radius_table() == render_radius_table()
 
+    @pytest.mark.parametrize("flags", [["--c-max", "1"], ["--k-max", "1"], ["--c-max", "0", "--k-max", "-4"]])
+    def test_empty_range_exit2(self, capsys, flags):
+        # an empty range once printed a bare header, or row labels with no
+        # cells, and exited 0
+        code, out, err = run(capsys, "table", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "c_max >= 2 and k_max >= 2" in err
+
+    def test_smallest_range(self, capsys):
+        code, out, _ = run(capsys, "table", "--c-max", "2", "--k-max", "2")
+        assert (code, out) == (0, "c\\k  2\n2    0\n")
+
 
 class TestCampaign:
     def test_small_campaign(self, capsys):
@@ -417,30 +429,68 @@ class TestCampaign:
         assert out1 == out2
 
 
-def _loaded_by_cli_import(*modules: str) -> list[str]:
+def _loaded_after(statement: str, *modules: str) -> list[str]:
     """Which of `modules` a bare interpreter (-S: no site packages) holds
-    after importing treedist.cli from this checkout's src/."""
+    after running `statement` with this checkout's src/ first on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     probe = (
-        f"import sys; sys.path.insert(0, {src!r}); import treedist.cli; "
+        f"import sys; sys.path.insert(0, {src!r}); {statement}; "
         f"print(' '.join(m for m in {modules!r} if m in sys.modules))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60, check=True
     )
-    return done.stdout.split()
+    return done.stdout.splitlines()[-1].split()
 
 
 def test_cli_import_loads_no_process_pool():
     # the process pool is imported only by campaign --jobs > 1, so every
     # other run skips its import cost
-    assert _loaded_by_cli_import("concurrent.futures.process", "multiprocessing") == []
+    assert _loaded_after("import treedist.cli", "concurrent.futures.process", "multiprocessing") == []
 
 
 def test_cli_import_loads_no_dataclasses():
     # the result types are plain classes, so no run pays for importing
     # dataclasses and the inspect, dis, ast and tokenize it pulls in
-    assert _loaded_by_cli_import("dataclasses", "inspect") == []
+    assert _loaded_after("import treedist.cli", "dataclasses", "inspect") == []
+
+
+class TestLoadedLayers:
+    """Each subcommand imports only the layers it runs.  Where no bytecode
+    is cached, a process compiles every module it imports from source, so
+    each layer skipped is start-up saved."""
+
+    LAYERS = ("treedist.coloring", "treedist.symmetry", "treedist.verifier")
+
+    def test_package_import_loads_no_module(self):
+        files = Path(cli.__file__).parent.glob("*.py")
+        modules = [f"treedist.{path.stem}" for path in files if path.stem != "__init__"]
+        assert "treedist.cli" in modules
+        assert _loaded_after("import treedist", *modules) == []
+
+    def test_cli_import_loads_no_layer(self):
+        assert _loaded_after("import treedist.cli", *self.LAYERS) == []
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["table"], []),
+            (["gen", "-n", "50"], []),
+            (["dnumber", "TREE"], ["treedist.symmetry"]),
+            (["verify", "TREE", "--coloring", "COLORING"], ["treedist.symmetry", "treedist.verifier"]),
+            (["verify", "TREE", "--coloring", "COLORING", "--report"], ["treedist.symmetry", "treedist.verifier"]),
+            (["color", "-c", "3", "TREE"], ["treedist.coloring", "treedist.symmetry"]),
+            (["color", "-a", "near", "TREE", "--dot-out", "-"], ["treedist.coloring", "treedist.symmetry"]),
+            (["campaign", "--trials", "5"], list(LAYERS)),
+        ],
+    )
+    def test_subcommand_loads_its_layers(self, capsys, tmp_path, argv, loaded):
+        tree = str(FIXDIR / "hub10_tails2.tree")
+        colj = tmp_path / "coloring.json"
+        assert main(["color", "-c", "3", tree, "--coloring-out", str(colj)]) == 0
+        argv = [{"TREE": tree, "COLORING": str(colj)}.get(arg, arg) for arg in argv]
+        statement = f"import treedist.cli; assert treedist.cli.main({argv!r}) == 0"
+        assert _loaded_after(statement, *self.LAYERS) == loaded
 
 
 def test_stdin_input(capsys, monkeypatch):
