@@ -134,7 +134,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         if args.colors is None:
             print("error: --colors is required for the main algorithm", file=sys.stderr)
             return 2
-        coloring, trace = color_tree(tree, args.colors, root=args.root)
+        coloring, trace = color_tree(tree, args.colors)
     elif args.algorithm == "near":
         coloring = color_near_distinguishing(tree)
     elif args.algorithm == "regular":
@@ -179,9 +179,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
             raise BadFormat(f"{args.coloring}: not a coloring JSON file: {exc}") from None
     coloring = Coloring.from_json_dict(data)
-    if not coloring.is_total or len(coloring.colors) != tree.n:
-        print("error: coloring is partial or does not match the tree", file=sys.stderr)
-        return 2
     if args.report:
         print(json.dumps(fix_report(tree, coloring).to_json_dict()))
         return 0
@@ -242,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["main", "near", "regular", "spine", "anchored"],
         default="main",
     )
-    p.add_argument("--root", type=int, default=None, help="root override (main algorithm)")
     p.add_argument("--spine", help="comma-separated spine vertices (spine algorithm)")
     p.add_argument("--anchor", type=int, help="anchor vertex (anchored algorithm)")
     p.add_argument("--coloring-out", help="write coloring JSON here")

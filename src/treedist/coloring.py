@@ -132,9 +132,7 @@ def _longest_descent(rv: RootedView, v: int) -> list[int]:
     return path
 
 
-def color_tree(
-    tree: Tree, num_colors: int, root: int | tuple[int, ...] | None = None
-) -> tuple[Coloring, ColoringTrace]:
+def color_tree(tree: Tree, num_colors: int) -> tuple[Coloring, ColoringTrace]:
     """Color the tree with num_colors colors so that every vertex meeting the
     distance condition for fix_radius(num_colors, max_valence) is fixed by all
     color-preserving automorphisms.
@@ -145,27 +143,23 @@ def color_tree(
     runs: vertices failing the distance condition default to color 0, sibling
     groups that meet it are colored as evenly as possible, and same-colored
     groups that are still structurally indistinguishable get main lines.
-    `root` overrides the default center rooting (no guarantee beyond the
-    center-rooted one is claimed); with max_valence - 1 colors it is refused,
-    since the near-distinguishing coloring is defined from the center.
+    The tree is rooted at its center.
     """
     if num_colors < 2:
         raise BadParams("need at least 2 colors")
     n = tree.n
     c = num_colors
     k = max_valence(tree)
+    rv = tree.centered
     if c >= k:
-        return _color_all_distinct(tree, c, root)
+        rules = ["lemma"] * n
+        for r in rv.roots:
+            rules[r] = "root"
+        return _color_sibling_distinct(rv, c), ColoringTrace(rules=rules)
     if c == k - 1:
-        if root is not None:
-            raise BadParams(
-                f"no root override with c = max valence - 1 = {c}: that coloring is rooted at the center"
-            )
-        coloring = color_near_distinguishing(tree)
-        return coloring, ColoringTrace(rules=["lemma"] * n)
+        return color_near_distinguishing(tree), ColoringTrace(rules=["lemma"] * n)
 
     # 2 <= c <= k-2, hence k >= 4 and a log-form radius
-    rv = tree.centered if root is None else root_at(tree, root)
     radius = fix_radius(c, k)
     heights = rv.heights
     colors = [UNCOLORED] * n
@@ -316,20 +310,15 @@ def _two_color_descent(rv: RootedView, v2: int, colors: list[int], rules: list[s
     return [branch]
 
 
-def _color_all_distinct(
-    tree: Tree, num_colors: int, root: int | tuple[int, ...] | None = None
-) -> tuple[Coloring, ColoringTrace]:
-    """With at least max_valence colors, give every sibling group pairwise
-    distinct colors; every vertex ends up fixed."""
-    rv = tree.centered if root is None else root_at(tree, root)
-    colors = [UNCOLORED] * tree.n
-    rules = ["lemma"] * tree.n
-    # the roots as in color_tree
+def _color_sibling_distinct(rv: RootedView, num_colors: int) -> Coloring:
+    """A lone root gets 0, the two roots of an edge center 1 and 0, and
+    below them every vertex's children pairwise different colors, so every
+    color-preserving automorphism that keeps the roots fixes every vertex."""
+    colors = [UNCOLORED] * rv.tree.n
     for i, r in enumerate(reversed(rv.roots)):
         colors[r] = i
-        rules[r] = "root"
     _fill_sibling_distinct(rv, colors, num_colors)
-    return Coloring(num_colors, tuple(colors)), ColoringTrace(rules=rules)
+    return Coloring(num_colors, tuple(colors))
 
 
 def color_anchored(tree: Tree, anchor: int, max_degree: int | None = None) -> Coloring:
@@ -346,12 +335,7 @@ def color_anchored(tree: Tree, anchor: int, max_degree: int | None = None) -> Co
         raise BadParams("max_degree must be >= 2 for n >= 2")
     if tree.degree(anchor) > k - 1:
         raise BadParams(f"anchor valence {tree.degree(anchor)} must be <= {k - 1}")
-    num = max(k - 1, 1)
-    rv = root_at(tree, anchor)
-    colors = [UNCOLORED] * tree.n
-    colors[anchor] = 0
-    _fill_sibling_distinct(rv, colors, num)
-    return Coloring(num, tuple(colors))
+    return _color_sibling_distinct(root_at(tree, anchor), k - 1)
 
 
 def color_near_distinguishing(tree: Tree) -> Coloring:

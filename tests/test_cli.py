@@ -189,16 +189,13 @@ class TestColor:
         assert code == 2
         assert "error" in err
 
-    def test_root_override_at_k_minus_1_exit2(self, capsys):
-        # c = k-1 uses the center-rooted near-distinguishing coloring, so a
-        # root override there is refused rather than ignored
-        tree = str(FIXDIR / "hub10_tails2.tree")
-        code, out, err = run(capsys, "color", "-c", "9", "--root", "5", tree)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "root override" in err
-        assert run(capsys, "color", "-c", "9", tree)[0] == 0
-        assert run(capsys, "color", "-c", "3", "--root", "5", tree)[0] == 0
+    def test_root_option_removed_exit2(self, capsys):
+        # colorings are rooted at the center only, where verify checks them
+        with pytest.raises(SystemExit) as exc:
+            main(["color", "--root", "0", str(FIXDIR / "path5.tree"), "-c", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --root" in capsys.readouterr().err
+        assert run(capsys, "color", "-c", "9", str(FIXDIR / "hub10_tails2.tree"))[0] == 0
 
     def test_spine_algorithm(self, capsys):
         code, out, _ = run(capsys, "color", "-a", "spine", str(FIXDIR / "path5.tree"))
@@ -213,17 +210,16 @@ class TestColor:
 
 
 class TestVerify:
-    def test_round_trip_exit0(self, capsys, tmp_path):
+    @pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXDIR.glob("*.tree")))
+    def test_round_trip_exit0(self, capsys, tmp_path, fixture):
+        # color -c C then verify, for every C from 2 to the valence
         colj = tmp_path / "coloring.json"
-        for fixture in ("hub10_tails2", "glued_stars", "path10", "complete_1_3_depth3"):
-            tree_path = str(FIXDIR / f"{fixture}.tree")
-            code, _, _ = run(
-                capsys, "color", "--colors", "2", tree_path, "--coloring-out", str(colj)
-            )
-            assert code == 0
+        tree_path = str(FIXDIR / f"{fixture}.tree")
+        for c in range(2, max(2, tree_core.max_valence(helpers.load_fixture(fixture))) + 1):
+            code, _, _ = run(capsys, "color", "--colors", str(c), tree_path, "--coloring-out", str(colj))
+            assert code == 0, c
             code, out, _ = run(capsys, "verify", tree_path, "--coloring", str(colj))
-            assert code == 0
-            assert json.loads(out)["failures"] == []
+            assert (code, json.loads(out)["failures"]) == (0, []), c
 
     def test_verify_peak_memory(self, capsys, monkeypatch, tmp_path):
         # the tree is made beforehand; reading the coloring, rooting the tree
@@ -267,9 +263,10 @@ class TestVerify:
 
     def test_partial_coloring_exit2(self, capsys, tmp_path):
         colj = tmp_path / "coloring.json"
-        colj.write_text(json.dumps({"num_colors": 2, "colors": [0, -1, 0, 1, 0]}))
-        code, _, err = run(capsys, "verify", str(FIXDIR / "path5.tree"), "--coloring", str(colj))
-        assert code == 2
+        for colors, message in (([0, -1, 0, 1, 0], "has uncolored vertices"), ([0, 1, 0], "covers 3 of 5 vertices")):
+            colj.write_text(json.dumps({"num_colors": 2, "colors": colors}))
+            code, _, err = run(capsys, "verify", str(FIXDIR / "path5.tree"), "--coloring", str(colj))
+            assert (code, err) == (2, f"error: coloring {message}\n")
 
     @pytest.mark.parametrize(
         "data",
@@ -291,15 +288,17 @@ class TestVerify:
             b'{"num_colors": 2, "colors": [0, 1.0, 0, 1, 0]}',
             b'{"num_colors": 2, "colors": [0, NaN, 0, 1, 0]}',
             pytest.param(b"[" * 100_000, id="nested-100000-deep"),
+            b'{"num_colors": 2, "colors": [0, 1, 0]}',
         ],
     )
     def test_malformed_coloring_exit2(self, capsys, tmp_path, data):
         colj = tmp_path / "coloring.json"
         colj.write_bytes(data)
-        code, _, err = run(capsys, "verify", str(FIXDIR / "path5.tree"), "--coloring", str(colj))
-        assert code == 2
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+        for report in ([], ["--report"]):
+            code, _, err = run(capsys, "verify", str(FIXDIR / "path5.tree"), "--coloring", str(colj), *report)
+            assert code == 2
+            assert err.startswith("error: ")
+            assert "Traceback" not in err
 
     def test_no_size_cap(self, capsys, tmp_path):
         tree_path = tmp_path / "big.tree"

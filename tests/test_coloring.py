@@ -249,28 +249,6 @@ class TestColorTreeMain:
         assert len(trace.rules) == t.n
         assert all(rule for rule in trace.rules)
 
-    def test_root_override(self):
-        t = helpers.path_tree(5)
-        coloring, _ = color_tree(t, 2, root=0)
-        assert coloring.is_total
-
-    @pytest.mark.parametrize("name", ["hub10_tails2", "glued_stars", "path10"])
-    def test_root_override_leaves_centered_view(self, name):
-        # a root override builds its own view; the shared center-rooted view
-        # stays unbuilt, then rooted at the center, and fix_report agrees with
-        # a tree that never saw the override.  c = k-1 refuses the override.
-        k = max_valence(helpers.load_fixture(name))
-        for c in range(2, k + 1):
-            t = helpers.load_fixture(name)
-            if c == k - 1:
-                with pytest.raises(BadParams, match="no root override"):
-                    color_tree(t, c, root=t.n - 1)
-                continue
-            coloring, _ = color_tree(t, c, root=t.n - 1)
-            assert "centered" not in vars(t)
-            assert t.centered.roots == center(t)
-            assert fix_report(t, coloring) == fix_report(helpers.load_fixture(name), coloring)
-
     def test_bad_params(self):
         with pytest.raises(BadParams):
             color_tree(helpers.path_tree(3), 1)

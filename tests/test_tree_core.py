@@ -379,7 +379,7 @@ class TestOnePeel:
     def test_color_tree_rooted_at_center_then_fix_report(self, peels):
         t = helpers.complete_tree(4, 3)
         assert max_valence(t) >= 4
-        coloring, _ = color_tree(t, 2, root=center(t))
+        coloring, _ = color_tree(t, 2)
         fix_report(t, coloring)
         assert len(peels) == 1
 
