@@ -31,13 +31,11 @@ _EXPORTS = {
         "UNCOLORED",
         "Coloring",
         "FixReport",
-        "canonical_codes",
         "canonical_labels",
         "distinguishing_number",
         "enumerate_automorphisms",
         "fix_report",
         "fixed_vertices",
-        "structural_codes",
     ),
     "tree_core": (
         "RootedView",

@@ -53,9 +53,8 @@ def _dot_lines(tree: Tree, coloring: Coloring, trace: ColoringTrace | None) -> I
     vertices filled by color index (8-entry palette, cycling), main-line
     edges drawn with penwidth 2 (none without a trace: only the main
     algorithm makes one).  cmd_color writes the lines as they are made, so
-    the whole text is never held at once."""
-    from .symmetry import UNCOLORED
-
+    the whole text is never held at once.  Every -a algorithm colors every
+    vertex, so each color indexes the palette."""
     bold = set()
     for line in trace.main_lines if trace is not None else ():
         for u, v in zip(line.vertices, line.vertices[1:]):
@@ -64,8 +63,8 @@ def _dot_lines(tree: Tree, coloring: Coloring, trace: ColoringTrace | None) -> I
     yield "  node [style=filled, shape=circle];\n"
     # the attributes of each color in use are written once, not once per
     # vertex; num_colors may be far larger than the colors used
-    attrs = {UNCOLORED: ' [fillcolor="none"];\n'}
-    for c in set(coloring.colors) - {UNCOLORED}:
+    attrs = {}
+    for c in set(coloring.colors):
         fill = DOT_PALETTE[c % len(DOT_PALETTE)]
         font = ', fontcolor="white"' if fill == "black" else ""
         attrs[c] = f' [fillcolor="{fill}"{font}];\n'

@@ -15,7 +15,7 @@ vertex id everywhere, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-from .errors import BadParams, BadSpine, IndexOverflow, NotRegularProfile
+from .errors import BadParams
 from .symmetry import UNCOLORED, Coloring, canonical_labels
 # fix_radius lived here before tree_core, and stays importable from here
 from .tree_core import Record, RootedView, Tree, fix_radius, max_valence, root_at
@@ -55,11 +55,11 @@ def balanced_colors(count: int, palette: list[int], pairs_required: bool = False
 
 def lsb_digits(index: int, length: int, base: int) -> list[int]:
     """Digits of `index` in the given base, least significant first, padded
-    with zeros to `length`.  Raises IndexOverflow when index needs more digits."""
+    with zeros to `length`.  Raises BadParams when index needs more digits."""
     if base < 2 or length < 0:
         raise BadParams("need base >= 2 and length >= 0")
     if index < 0 or index >= base**length:
-        raise IndexOverflow(f"index {index} does not fit in {length} base-{base} digits")
+        raise BadParams(f"index {index} does not fit in {length} base-{base} digits")
     digits = []
     x = index
     for _ in range(length):
@@ -93,9 +93,9 @@ class ColoringTrace(Record):
     __slots__ = _fields = ("rules", "line_groups")
     __hash__ = None  # mutable: the coloring appends to both lists
 
-    def __init__(self, rules: list[str], line_groups: list[list[MainLine]] | None = None):
+    def __init__(self, rules: list[str]):
         self.rules = rules
-        self.line_groups = [] if line_groups is None else line_groups
+        self.line_groups: list[list[MainLine]] = []
 
     @property
     def main_lines(self) -> list[MainLine]:
@@ -411,7 +411,7 @@ def color_regular(tree: Tree) -> Coloring:
     k = max_valence(tree)
     bad = [v for v in range(n) if tree.degree(v) not in (1, k)]
     if bad:
-        raise NotRegularProfile(f"vertex {bad[0]} has valence {tree.degree(bad[0])}, not 1 or {k}")
+        raise BadParams(f"vertex {bad[0]} has valence {tree.degree(bad[0])}, not 1 or {k}")
     rv = tree.centered
     colors = [UNCOLORED] * n
     if len(rv.roots) == 1:
@@ -459,18 +459,18 @@ def color_spine(tree: Tree, spine: list[int] | None = None, max_degree: int | No
     if max_valence(tree) > k:
         raise BadParams(f"tree valence {max_valence(tree)} exceeds declared bound {k}")
     if not spine:
-        raise BadSpine("spine is empty")
+        raise BadParams("spine is empty")
     for z in spine:
         tree.check_vertex(z)
     if len(set(spine)) != len(spine):
-        raise BadSpine("spine repeats a vertex")
+        raise BadParams("spine repeats a vertex")
     if n == 1:
         return Coloring(2, (1,))
     if tree.degree(spine[0]) != 1:
-        raise BadSpine(f"spine must start at a leaf; vertex {spine[0]} has valence {tree.degree(spine[0])}")
+        raise BadParams(f"spine must start at a leaf; vertex {spine[0]} has valence {tree.degree(spine[0])}")
     for z, nxt in zip(spine, spine[1:]):
         if nxt not in tree.adjacency[z]:
-            raise BadSpine(f"spine vertices {z} and {nxt} are not adjacent")
+            raise BadParams(f"spine vertices {z} and {nxt} are not adjacent")
     num = max(k - 1, 2)
     off_palette = [x for x in range(num) if x != 1]
     if rv is None:
@@ -482,7 +482,7 @@ def color_spine(tree: Tree, spine: list[int] | None = None, max_degree: int | No
     for z in spine:
         offline = [x for x in rv.children[z] if x != spine_next.get(z)]
         if len(offline) > len(off_palette):
-            raise BadSpine(
+            raise BadParams(
                 f"spine vertex {z} has {len(offline)} hanging branches; at most {len(off_palette)} fit"
             )
         for i, x in enumerate(offline):

@@ -1,10 +1,17 @@
-"""Exception hierarchy for treedist.
+"""Exception hierarchy for treedist: one class per source of a mistake.
 
-Every error raised by the library derives from TreedistError so callers
-(and the CLI) can catch one type for the exit-code contract.  BudgetExceeded
-is the only budget: it guards explicit automorphism enumeration, the one
-computation whose output can be exponential in n.  No other path has a size
-cap.
+Every error raised by the library derives from TreedistError, so callers
+(and the CLI, which exits 2 on any of them) can catch one type.  Which
+subclass is raised says where the mistake lies; the message says what it is:
+
+- BadFormat: tree or coloring text that cannot be read;
+- NotATree: edges that do not form a tree on the vertices 0..n-1;
+- BadParams: an argument outside the function's domain;
+- BudgetExceeded: explicit automorphism enumeration outgrew its limit.
+
+BudgetExceeded is the only budget: it guards explicit automorphism
+enumeration, the one computation whose output can be exponential in n.  No
+other path has a size cap.
 """
 
 
@@ -13,48 +20,20 @@ class TreedistError(Exception):
 
 
 class BadFormat(TreedistError):
-    """Input text could not be tokenized (non-integer token, odd field count)."""
+    """Input text could not be read: a non-integer token, an odd field count,
+    a malformed header, or coloring JSON of the wrong shape."""
 
 
 class NotATree(TreedistError):
-    """Edge list does not describe a tree (cycle, disconnected, duplicate edge)."""
-
-
-class NonContiguousIds(TreedistError):
-    """Vertex ids are not exactly 0..n-1."""
-
-
-class VertexOutOfRange(TreedistError):
-    """A vertex id does not belong to the tree."""
-
-
-class InfeasibleParams(TreedistError):
-    """Random-tree parameters admit no tree (e.g. n >= 3 with degree cap < 2)."""
+    """Edges do not form a tree on 0..n-1: a cycle, a disconnected graph, a
+    duplicate edge, or vertex ids that are negative, missing or too large."""
 
 
 class BadParams(TreedistError):
-    """Operation parameters outside the documented domain."""
-
-
-class PartialColoring(TreedistError):
-    """A total coloring was required but some vertex is uncolored."""
+    """An argument is outside the function's domain: a vertex not in the
+    tree, a partial coloring where a total one is needed, random-tree or
+    spine parameters that admit no solution, too few colors, and so on."""
 
 
 class BudgetExceeded(TreedistError):
     """Automorphism enumeration found more permutations than its limit allows."""
-
-
-class NotFoundWithinMax(TreedistError):
-    """No distinguishing coloring exists within the allowed number of colors."""
-
-
-class IndexOverflow(TreedistError):
-    """Sequence index does not fit in the requested number of digits."""
-
-
-class NotRegularProfile(TreedistError):
-    """Tree has a vertex whose valence is neither 1 nor the maximum valence."""
-
-
-class BadSpine(TreedistError):
-    """Marked spine is not a leaf-anchored simple path, or a spine vertex has too many branches."""

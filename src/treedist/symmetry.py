@@ -30,7 +30,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
-from .errors import BadFormat, BadParams, BudgetExceeded, NotFoundWithinMax, PartialColoring
+from .errors import BadFormat, BadParams, BudgetExceeded
 from .tree_core import Record, RootedView, Tree
 
 UNCOLORED = -1
@@ -70,12 +70,16 @@ class Coloring(Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Coloring":
-        """Values are taken as they are: __init__ refuses 1.7, "1" or true."""
+        """Values are taken as they are: __init__ refuses 1.7, "1" or true,
+        and colors must be a JSON array, not a string or an object."""
         try:
             num_colors = data["num_colors"]
             colors = tuple(data["colors"])
         except (KeyError, TypeError) as exc:
             raise BadFormat(f"malformed coloring: {type(exc).__name__}: {exc}") from None
+        # a string or an object is iterable too, as its characters or keys
+        if type(data["colors"]) is not list:
+            raise BadFormat(f"malformed coloring: colors must be a JSON array, not {type(data['colors']).__name__}")
         return cls(num_colors=num_colors, colors=colors)
 
 
@@ -180,9 +184,9 @@ class FixReport(Record):
 
 def _require_total(tree: Tree, coloring: Coloring) -> None:
     if len(coloring.colors) != tree.n:
-        raise PartialColoring(f"coloring covers {len(coloring.colors)} of {tree.n} vertices")
+        raise BadParams(f"coloring covers {len(coloring.colors)} of {tree.n} vertices")
     if not coloring.is_total:
-        raise PartialColoring("coloring has uncolored vertices")
+        raise BadParams("coloring has uncolored vertices")
 
 
 def _fixed(rv: RootedView, labels: Sequence[int]) -> list[bool]:
@@ -458,7 +462,7 @@ def distinguishing_number(tree: Tree, max_colors: int) -> int:
     fails, hi = 0, 1
     while not distinguishes(hi):
         if hi == max_colors:
-            raise NotFoundWithinMax(f"no distinguishing coloring with <= {max_colors} colors")
+            raise BadParams(f"no distinguishing coloring with <= {max_colors} colors")
         fails, hi = hi, min(2 * hi, max_colors)
     while hi - fails > 1:
         mid = (fails + hi) // 2

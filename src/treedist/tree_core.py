@@ -30,14 +30,7 @@ from collections.abc import Iterable, Iterator, MutableSequence, Sequence
 from functools import cache, cached_property
 from itertools import chain, islice
 
-from .errors import (
-    BadFormat,
-    BadParams,
-    InfeasibleParams,
-    NonContiguousIds,
-    NotATree,
-    VertexOutOfRange,
-)
+from .errors import BadFormat, BadParams, NotATree
 
 
 class Record:
@@ -79,7 +72,7 @@ class Tree(Record):
 
     def check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
-            raise VertexOutOfRange(f"vertex {v} not in 0..{self.n - 1}")
+            raise BadParams(f"vertex {v} not in 0..{self.n - 1}")
 
     @cached_property
     def centered(self) -> RootedView:
@@ -117,7 +110,7 @@ def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
         raise NotATree(f"vertex count {n}; a tree has at least 1 vertex")
     if ends and min(ends) < 0:
         i = next(i for i, x in enumerate(ends) if x < 0) & ~1
-        raise NonContiguousIds(f"negative vertex id in edge ({ends[i]}, {ends[i + 1]})")
+        raise NotATree(f"negative vertex id in edge ({ends[i]}, {ends[i + 1]})")
     max_id = max(ends, default=-1)
     # the ids are contiguous when every one of 0..max_id has a neighbour; a
     # max_id of 2*m or more rules that out before anything is allocated in
@@ -137,13 +130,13 @@ def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
         present = sorted(set(ends))
         gaps = (range(a + 1, b) for a, b in zip([-1, *present], present))
         missing = list(islice(chain.from_iterable(gaps), 5))
-        raise NonContiguousIds(f"vertex ids missing from edge list: {missing}")
+        raise NotATree(f"vertex ids missing from edge list: {missing}")
     if n is None:
         if max_id < 0:
             raise NotATree("empty edge list with no vertex count")
         n = max_id + 1
     if max_id >= n:
-        raise NonContiguousIds(f"vertex id {max_id} exceeds declared count {n}")
+        raise NotATree(f"vertex id {max_id} exceeds declared count {n}")
     if m != n - 1:
         raise NotATree(f"{m} edges for {n} vertices; a tree needs {n - 1}")
     adj.extend([] for _ in range(n - len(adj)))
@@ -468,11 +461,11 @@ def random_tree(n: int, max_degree: int, seed: int) -> Tree:
     do not change if randrange's own algorithm does.
     """
     if n < 1:
-        raise InfeasibleParams("n must be >= 1")
+        raise BadParams("n must be >= 1")
     if n >= 3 and max_degree < 2:
-        raise InfeasibleParams(f"no tree on {n} vertices with max degree {max_degree}")
+        raise BadParams(f"no tree on {n} vertices with max degree {max_degree}")
     if n == 2 and max_degree < 1:
-        raise InfeasibleParams("an edge needs degree 1 at both ends")
+        raise BadParams("an edge needs degree 1 at both ends")
     getrandbits = random.Random(seed).getrandbits
     # a parent precedes its children, so each list comes out sorted; its
     # length is the degree, and names[p] is p's one int object

@@ -75,12 +75,7 @@ class CampaignReport(Record):
         }
 
 
-def verify_fixing_guarantee(
-    tree: Tree,
-    num_colors: int,
-    coloring: Coloring | None = None,
-    seed: int | None = None,
-) -> CampaignReport:
+def verify_fixing_guarantee(tree: Tree, num_colors: int, coloring: Coloring | None = None) -> CampaignReport:
     """Check that every vertex meeting the distance condition is fixed.
 
     Runs color_tree when no coloring is supplied, then compares the
@@ -103,7 +98,7 @@ def verify_fixing_guarantee(
     if witnesses:
         failures.append(
             Failure(
-                seed=seed,
+                seed=None,
                 n=tree.n,
                 k=k,
                 c=num_colors,
@@ -114,7 +109,7 @@ def verify_fixing_guarantee(
     return CampaignReport(trials=1, failures=failures)
 
 
-def verify_near_distinguishing(tree: Tree, seed: int | None = None) -> CampaignReport:
+def verify_near_distinguishing(tree: Tree) -> CampaignReport:
     """Check that color_near_distinguishing leaves nothing unfixed beyond one
     pair of leaves with a common neighbor.
 
@@ -138,7 +133,7 @@ def verify_near_distinguishing(tree: Tree, seed: int | None = None) -> CampaignR
     if not ok:
         failures.append(
             Failure(
-                seed=seed,
+                seed=None,
                 n=tree.n,
                 k=k,
                 c=coloring.num_colors,
@@ -162,13 +157,13 @@ def _campaign_trial(args: tuple[int, int, int, int]) -> tuple[int, list[Failure]
 
     if kv >= 2:
         c = rng.randint(2, kv)
-        sub = verify_fixing_guarantee(tree, c, seed=trial_seed)
+        sub = verify_fixing_guarantee(tree, c)
         for f in sub.failures:
             failures.append(Failure(trial_seed, n, k_param, c, f.prop, f.witness))
     else:
         skipped += 1
 
-    sub = verify_near_distinguishing(tree, seed=trial_seed)
+    sub = verify_near_distinguishing(tree)
     skipped += sub.skipped
     for f in sub.failures:
         failures.append(Failure(trial_seed, n, k_param, f.c, f.prop, f.witness))

@@ -11,7 +11,7 @@ reference_orbits is fix_report's orbit numbering as first written, and
 reference_random_tree is random_tree's randrange loop.
 
 reference_distinguishing_number is the plain scan over d = 1, 2, 3, ... that
-the library's galloping search must match, NotFoundWithinMax included.
+the library's galloping search must match, its BadParams included.
 
 reference_enumerate_automorphisms is the automorphism search that re-verifies
 each permutation on its own as it is found; the library's batched
@@ -47,15 +47,7 @@ from treedist import (
     random_tree,
     tree_from_edges,
 )
-from treedist.errors import (
-    BadFormat,
-    BadParams,
-    BudgetExceeded,
-    InfeasibleParams,
-    NonContiguousIds,
-    NotATree,
-    NotFoundWithinMax,
-)
+from treedist.errors import BadFormat, BadParams, BudgetExceeded, NotATree
 from treedist.symmetry import DEFAULT_AUT_LIMIT, _require_total
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -222,7 +214,7 @@ def reference_tree_from_edges(edges: list[tuple[int, int]], n: int | None = None
     ids = set()
     for u, v in edges:
         if u < 0 or v < 0:
-            raise NonContiguousIds(f"negative vertex id in edge ({u}, {v})")
+            raise NotATree(f"negative vertex id in edge ({u}, {v})")
         ids.add(u)
         ids.add(v)
     max_id = max(ids, default=-1)
@@ -233,13 +225,13 @@ def reference_tree_from_edges(edges: list[tuple[int, int]], n: int | None = None
         missing: list[int] = []
         for a, b in zip([-1, *present], present):
             missing.extend(range(a + 1, min(b, a + 6)))
-        raise NonContiguousIds(f"vertex ids missing from edge list: {missing[:5]}")
+        raise NotATree(f"vertex ids missing from edge list: {missing[:5]}")
     if n is None:
         if max_id < 0:
             raise NotATree("empty edge list with no vertex count")
         n = max_id + 1
     if max_id >= n:
-        raise NonContiguousIds(f"vertex id {max_id} exceeds declared count {n}")
+        raise NotATree(f"vertex id {max_id} exceeds declared count {n}")
     if len(edges) != n - 1:
         raise NotATree(f"{len(edges)} edges for {n} vertices; a tree needs {n - 1}")
 
@@ -548,9 +540,9 @@ def paired_class_minimax(slots: int, colors: int) -> int:
     coloring) and takes the smallest maximum part.
     """
     if slots < 2:
-        raise InfeasibleParams("need at least 2 slots for the pair constraint")
+        raise BadParams("need at least 2 slots for the pair constraint")
     if colors < 1:
-        raise InfeasibleParams("need at least 1 color")
+        raise BadParams("need at least 1 color")
     best: int | None = None
 
     def descend(remaining: int, cap: int, used: int, largest: int) -> None:
@@ -608,7 +600,7 @@ def reference_distinguishing_number(tree: Tree, max_colors: int) -> int:
                 ok = counts[shape[a]] >= 1 and counts[shape[b]] >= 1
         if ok:
             return d
-    raise NotFoundWithinMax(f"no distinguishing coloring with <= {max_colors} colors")
+    raise BadParams(f"no distinguishing coloring with <= {max_colors} colors")
 
 
 def reference_enumerate_automorphisms(

@@ -277,6 +277,8 @@ class TestVerify:
             b'{"num_colors": 2}',
             b"[0, 1, 0, 1, 0]",
             b'{"num_colors": 2, "colors": 7}',
+            b'{"num_colors": 2, "colors": "01010"}',
+            b'{"num_colors": 2, "colors": {"0": 1}}',
             b'{"num_colors": "two", "colors": [0, 1, 0, 1, 0]}',
             b'{"num_colors": Infinity, "colors": [0, 1, 0, 1, 0]}',
             b'{"num_colors": "2", "colors": [0, 1, 0, 1, 0]}',

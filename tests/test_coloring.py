@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from treedist import (
     root_at,
     tree_from_edges,
 )
-from treedist.errors import BadParams, BadSpine, IndexOverflow, NotRegularProfile
+from treedist.errors import BadParams
 
 import helpers
 from helpers import radius_bound, reference_radius
@@ -64,7 +65,7 @@ class TestFixRadius:
                     assert r.offset == (1 if c == 2 else 0)
 
     def test_bad_params(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(BadParams, match="^need at least 2 colors$"):
             fix_radius(1, 5)
 
 
@@ -110,7 +111,7 @@ class TestRadiusBound:
                 assert fix_radius(c, k) <= radius_bound(c, k)
 
     def test_bad_params(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(BadParams, match=r"^need 2 <= colors <= max_degree, got \(5, 4\)$"):
             radius_bound(5, 4)
 
 
@@ -145,11 +146,11 @@ class TestBalancedColors:
                 assert max(out.count(c) for c in set(out)) == paired_class_minimax(t, j)
 
     def test_bad_params(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(BadParams, match="^count must be >= 1$"):
             balanced_colors(0, [0])
-        with pytest.raises(BadParams):
+        with pytest.raises(BadParams, match="^palette must be nonempty$"):
             balanced_colors(3, [])
-        with pytest.raises(BadParams):
+        with pytest.raises(BadParams, match="^pairs_required needs at least 2 slots$"):
             balanced_colors(1, [0, 1], pairs_required=True)
 
 
@@ -165,7 +166,7 @@ class TestLsbDigits:
         assert lsb_digits(0, 4, 7) == [0, 0, 0, 0]
 
     def test_overflow(self):
-        with pytest.raises(IndexOverflow):
+        with pytest.raises(BadParams, match="^index 8 does not fit in 3 base-2 digits$"):
             lsb_digits(8, 3, 2)
         assert lsb_digits(7, 3, 2) == [1, 1, 1]
 
@@ -250,7 +251,7 @@ class TestColorTreeMain:
         assert all(rule for rule in trace.rules)
 
     def test_bad_params(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(BadParams, match="^need at least 2 colors$"):
             color_tree(helpers.path_tree(3), 1)
 
     def test_mini_guarantee_campaign(self):
@@ -511,7 +512,7 @@ class TestColorAnchored:
         assert color_anchored(tree_from_edges([], n=1), 0).colors == (0,)
 
     def test_anchor_valence_too_high(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(BadParams, match="^anchor valence 3 must be <= 2$"):
             color_anchored(helpers.star_tree(3), 0, max_degree=3)
 
     def test_random_stabilizers_broken(self):
@@ -600,7 +601,7 @@ class TestColorRegular:
 
     def test_rejects_irregular(self):
         t = tree_from_edges([(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6)])
-        with pytest.raises(NotRegularProfile):
+        with pytest.raises(BadParams, match="^vertex 5 has valence 2, not 1 or 3$"):
             color_regular(t)
 
     @staticmethod
@@ -669,17 +670,17 @@ class TestColorSpine:
 
     def test_rejects_non_leaf_start(self):
         t = helpers.path_tree(5)
-        with pytest.raises(BadSpine):
+        with pytest.raises(BadParams, match="^spine must start at a leaf; vertex 2 has valence 2$"):
             color_spine(t, [2, 3, 4])
 
     def test_rejects_non_adjacent(self):
         t = helpers.path_tree(5)
-        with pytest.raises(BadSpine):
+        with pytest.raises(BadParams, match="^spine vertices 0 and 2 are not adjacent$"):
             color_spine(t, [0, 2, 4])
 
     def test_rejects_overloaded_end(self):
         t = helpers.star_tree(3)
-        with pytest.raises(BadSpine):
+        with pytest.raises(BadParams, match="^spine vertex 0 has 2 hanging branches; at most 1 fit$"):
             color_spine(t, [1, 0], max_degree=3)
 
     @settings(max_examples=200, deadline=None)
@@ -693,8 +694,8 @@ class TestColorSpine:
         # without a spine, color_spine colors along the longest one
         try:
             expected = color_spine(t, longest_spine(t))
-        except BadSpine:
-            with pytest.raises(BadSpine):
+        except BadParams as exc:
+            with pytest.raises(BadParams, match=f"^{re.escape(str(exc))}$"):
                 color_spine(t)
         else:
             assert color_spine(t) == expected

@@ -5,6 +5,7 @@ imported every module up front."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -33,13 +34,11 @@ DEFINED_IN = {
         "Coloring",
         "FixReport",
         "UNCOLORED",
-        "canonical_codes",
         "canonical_labels",
         "distinguishing_number",
         "enumerate_automorphisms",
         "fix_report",
         "fixed_vertices",
-        "structural_codes",
     ],
     "tree_core": [
         "RootedView",
@@ -68,8 +67,18 @@ EXPORTS = sorted([*DEFINED_IN, *(name for _, name in NAMES)])
 
 
 def test_all_is_the_export_list():
-    assert len(EXPORTS) == 41
+    assert len(EXPORTS) == 39
     assert sorted(treedist.__all__) == EXPORTS
+
+
+@pytest.mark.parametrize("name", ["canonical_codes", "structural_codes"])
+def test_byte_code_oracles_not_exported(name):
+    # the byte-code builders are reference oracles: treedist.symmetry keeps
+    # them for the tests and the benchmark, the package namespace does not
+    assert callable(getattr(treedist.symmetry, name))
+    assert name not in treedist.__all__
+    with pytest.raises(AttributeError, match=f"'{name}'"):
+        getattr(treedist, name)
 
 
 @pytest.mark.parametrize("module, name", NAMES)
@@ -131,3 +140,19 @@ def test_module_attribute_in_a_fresh_interpreter():
     assert _fresh("import treedist; print(treedist.verifier.__name__, treedist.fix_radius(2, 7))") == (
         "treedist.verifier 4\n"
     )
+
+
+def test_one_error_class_per_source_of_a_mistake():
+    errors = importlib.import_module("treedist.errors")
+    defined = {
+        name: cls for name, cls in vars(errors).items() if isinstance(cls, type) and cls.__module__ == errors.__name__
+    }
+    assert sorted(defined) == ["BadFormat", "BadParams", "BudgetExceeded", "NotATree", "TreedistError"]
+    assert all(cls.__bases__ == (errors.TreedistError,) for name, cls in defined.items() if name != "TreedistError")
+    # every subclass names a mistake that the library does report
+    raised = set()
+    for path in Path(treedist.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name):
+                raised.add(node.exc.func.id)
+    assert set(defined) - {"TreedistError"} <= raised

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from treedist import (
     Coloring,
     UNCOLORED,
-    canonical_codes,
     canonical_labels,
     center,
     color_anchored,
@@ -32,8 +32,8 @@ from treedist import (
     tree_from_edges,
 )
 from treedist.cli import _dot_lines
-from treedist.errors import BadParams, BudgetExceeded, NotFoundWithinMax, PartialColoring, TreedistError
-from treedist.symmetry import VERIFY_BATCH, _check_batch, subtree_code
+from treedist.errors import BadFormat, BadParams, BudgetExceeded, TreedistError
+from treedist.symmetry import VERIFY_BATCH, _check_batch, canonical_codes, subtree_code
 import treedist.coloring as coloring_module
 import treedist.symmetry as symmetry
 import treedist.tree_core as tree_core
@@ -213,9 +213,9 @@ class TestFixedVertices:
 
     def test_partial_coloring_rejected(self):
         t = helpers.path_tree(3)
-        with pytest.raises(PartialColoring):
+        with pytest.raises(BadParams, match="^coloring has uncolored vertices$"):
             fixed_vertices(t, Coloring(2, (0, UNCOLORED, 0)))
-        with pytest.raises(PartialColoring):
+        with pytest.raises(BadParams, match="^coloring covers 2 of 3 vertices$"):
             fixed_vertices(t, Coloring(2, (0, 1)))
 
 
@@ -276,9 +276,9 @@ class TestFixReport:
 
     def test_partial_coloring_rejected(self):
         t = helpers.path_tree(3)
-        with pytest.raises(PartialColoring):
+        with pytest.raises(BadParams, match="^coloring has uncolored vertices$"):
             fix_report(t, Coloring(2, (0, UNCOLORED, 0)))
-        with pytest.raises(PartialColoring):
+        with pytest.raises(BadParams, match="^coloring covers 2 of 3 vertices$"):
             fix_report(t, Coloring(2, (0, 1)))
 
     def test_orbit_refinement_under_fresh_color(self):
@@ -327,7 +327,7 @@ class TestColoringValidation:
         ],
     )
     def test_rejects_non_integers(self, colors, message):
-        with pytest.raises(BadParams) as exc:
+        with pytest.raises(BadParams, match=f"^{re.escape(message)}$") as exc:
             Coloring(2, colors)
         assert str(exc.value) == message
 
@@ -341,7 +341,7 @@ class TestColoringValidation:
         ],
     )
     def test_out_of_range_message(self, num_colors, colors, message):
-        with pytest.raises(BadParams) as exc:
+        with pytest.raises(BadParams, match=f"^{re.escape(message)}$") as exc:
             Coloring(num_colors, colors)
         assert str(exc.value) == message
 
@@ -363,17 +363,32 @@ class TestColoringValidation:
     def test_json_colors_become_ints(self):
         # they do not: a file's values are checked as they are, so a value
         # that int() would have turned into a color or count is refused
-        for data in (
-            {"num_colors": 2, "colors": [0, True, 1]},
-            {"num_colors": 2, "colors": [0, 1.7, 1]},
-            {"num_colors": 2, "colors": [0, "1", 1]},
-            {"num_colors": 2, "colors": [0, 1.0, 1]},
-            {"num_colors": 2.0, "colors": [0, 1, 1]},
-            {"num_colors": "2", "colors": [0, 1, 1]},
-            {"num_colors": True, "colors": [0, 0, 0]},
+        for data, message in (
+            ({"num_colors": 2, "colors": [0, True, 1]}, "vertex 1 has color True, not an integer"),
+            ({"num_colors": 2, "colors": [0, 1.7, 1]}, "vertex 1 has color 1.7, not an integer"),
+            ({"num_colors": 2, "colors": [0, "1", 1]}, "vertex 1 has color '1', not an integer"),
+            ({"num_colors": 2, "colors": [0, 1.0, 1]}, "vertex 1 has color 1.0, not an integer"),
+            ({"num_colors": 2.0, "colors": [0, 1, 1]}, "num_colors 2.0 is not an integer"),
+            ({"num_colors": "2", "colors": [0, 1, 1]}, "num_colors '2' is not an integer"),
+            ({"num_colors": True, "colors": [0, 0, 0]}, "num_colors True is not an integer"),
         ):
-            with pytest.raises(BadParams):
+            with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
                 Coloring.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "colors, message",
+        [
+            ("010", "colors must be a JSON array, not str"),
+            ({"0": 1, "1": 0, "2": 1}, "colors must be a JSON array, not dict"),
+            (7, "TypeError: 'int' object is not iterable"),
+            (None, "TypeError: 'NoneType' object is not iterable"),
+        ],
+    )
+    def test_json_colors_must_be_an_array(self, colors, message):
+        # a string or an object is iterable, but its characters or keys are
+        # not the colors
+        with pytest.raises(BadFormat, match=f"^malformed coloring: {re.escape(message)}$"):
+            Coloring.from_json_dict({"num_colors": 2, "colors": colors})
 
 
 class TestFixReportPeakMemory:
@@ -597,7 +612,7 @@ class TestDistinguishingNumber:
         assert distinguishing_number(helpers.path_tree(2), 3) == 2
 
     def test_not_found_within_max(self):
-        with pytest.raises(NotFoundWithinMax):
+        with pytest.raises(BadParams, match="^no distinguishing coloring with <= 2 colors$"):
             distinguishing_number(helpers.star_tree(4), 2)
 
     def test_size_guard(self):
@@ -625,8 +640,8 @@ class TestDistinguishingNumber:
         for max_colors in range(1, max_valence(t) + 3):
             try:
                 expected = helpers.reference_distinguishing_number(t, max_colors)
-            except NotFoundWithinMax:
-                with pytest.raises(NotFoundWithinMax):
+            except BadParams as exc:
+                with pytest.raises(BadParams, match=f"^{re.escape(str(exc))}$"):
                     distinguishing_number(t, max_colors)
             else:
                 assert distinguishing_number(t, max_colors) == expected
@@ -808,11 +823,12 @@ class TestColorTreeGolden:
 
 def _outcome(make) -> str:
     """Digest of the JSON of what make() returns (a coloring, or a coloring
-    and its trace), or the name of the treedist error it raises."""
+    and its trace), or the type and message of the treedist error it
+    raises."""
     try:
         made = make()
     except TreedistError as exc:
-        return type(exc).__name__
+        return f"{type(exc).__name__}: {exc}"
     parts = made if isinstance(made, tuple) else (made,)
     return _digest(json.dumps([part.to_json_dict() for part in parts]))
 
@@ -838,92 +854,95 @@ def _sibling_fill_outcomes(t) -> tuple[str, ...]:
 #: 300 seeded random trees, recorded before the per-subtree fills were
 #: folded into one pass over the rooted view.  The random digest was
 #: re-recorded over these six outcomes when color_tree lost its root
-#: override, before color_anchored and color_tree shared one routine.
+#: override, before color_anchored and color_tree shared one routine.  An
+#: error is pinned by type and message; both were re-recorded on the code
+#: from before the error classes were merged, each old class name read as
+#: the name of the class that absorbed it.
 GOLDEN_SIBLING_FILL = {
     "complete_1_3_depth1": (
         "11108a4f659434a3",
-        "BadParams",
-        "BadParams",
+        "BadParams: anchor valence 3 must be <= 2",
+        "BadParams: anchor valence 3 must be <= 2",
         "597b82ed1b23f601",
         "711148d020c92963",
         "951ed7e4519617d3",
     ),
     "complete_1_3_depth2": (
         "e52a8c78e60bbf63",
-        "BadParams",
-        "BadParams",
+        "BadParams: anchor valence 3 must be <= 2",
+        "BadParams: anchor valence 3 must be <= 2",
         "2645769f11ea9c7c",
         "ef937cd9defc8446",
         "aad17464168a6533",
     ),
     "complete_1_3_depth3": (
         "cf8eb7eca1fd5632",
-        "BadParams",
-        "BadParams",
+        "BadParams: anchor valence 3 must be <= 2",
+        "BadParams: anchor valence 3 must be <= 2",
         "334377a5dddb956b",
         "e9e0f703426b5a88",
         "ec9c643cf1a7d2ba",
     ),
     "complete_1_4_depth1": (
         "2f336842c1468089",
-        "BadParams",
-        "BadParams",
+        "BadParams: anchor valence 4 must be <= 3",
+        "BadParams: anchor valence 4 must be <= 3",
         "a6e25a9db67d0bef",
         "5ec67f70993db618",
         "05f1e4094aa50849",
     ),
     "complete_1_4_depth2": (
         "302c5872e84d21dd",
-        "BadParams",
-        "BadParams",
+        "BadParams: anchor valence 4 must be <= 3",
+        "BadParams: anchor valence 4 must be <= 3",
         "3bbe43c18a86f232",
         "c021c2c958327bba",
         "0730e874fea96d6e",
     ),
     "complete_1_4_depth3": (
         "3f1262797f73a230",
-        "BadParams",
-        "BadParams",
+        "BadParams: anchor valence 4 must be <= 3",
+        "BadParams: anchor valence 4 must be <= 3",
         "e9d6053e4047053e",
         "63c48c00539288ea",
         "10074ef73f0dd4f6",
     ),
     "complete_1_7_depth3": (
         "d52106b4bf26faf0",
-        "BadParams",
-        "BadParams",
+        "BadParams: anchor valence 7 must be <= 6",
+        "BadParams: anchor valence 7 must be <= 6",
         "0f9162861de9792b",
         "06ea0f342604f514",
         "2b49ec3249bfb99f",
     ),
     "glued_stars": (
         "e52a8c78e60bbf63",
-        "BadParams",
-        "BadParams",
+        "BadParams: anchor valence 3 must be <= 2",
+        "BadParams: anchor valence 3 must be <= 2",
         "2645769f11ea9c7c",
         "ef937cd9defc8446",
         "aad17464168a6533",
     ),
     "hub10_tails2": (
         "6c6e3a2777e2cc3e",
-        "BadParams",
-        "BadParams",
+        "BadParams: anchor valence 10 must be <= 9",
+        "BadParams: anchor valence 10 must be <= 9",
         "032477ca4d6be661",
         "621143d50a6436e0",
-        "NotRegularProfile",
+        "BadParams: vertex 1 has valence 2, not 1 or 10",
     ),
     "hub4_binary4": (
         "3929a8607b5cb2ae",
-        "BadParams",
-        "BadParams",
+        "BadParams: anchor valence 4 must be <= 3",
+        "BadParams: anchor valence 4 must be <= 3",
         "ba2f44202297253f",
         "a8e4c23f563dc2b2",
-        "NotRegularProfile",
+        "BadParams: vertex 2 has valence 3, not 1 or 4",
     ),
     "path10": (
         "4f2ec7dd309d7acc",
         "4f2ec7dd309d7acc",
-        "BadParams",
+        "BadParams: anchor valence 2 must be <= 1",
         "4f2ec7dd309d7acc",
         "84edbd42e324c205",
         "c9ed3d5214328589",
@@ -931,7 +950,7 @@ GOLDEN_SIBLING_FILL = {
     "path4": (
         "8ee08f3b7c44ae31",
         "8ee08f3b7c44ae31",
-        "BadParams",
+        "BadParams: anchor valence 2 must be <= 1",
         "8ee08f3b7c44ae31",
         "f6fd369d5d036838",
         "9941c7e857f0d46a",
@@ -939,28 +958,28 @@ GOLDEN_SIBLING_FILL = {
     "path5": (
         "5d0f1a1d9792ffd0",
         "5d0f1a1d9792ffd0",
-        "BadParams",
+        "BadParams: anchor valence 2 must be <= 1",
         "5d0f1a1d9792ffd0",
         "0aab630666312e48",
         "5ed254b1939b6c50",
     ),
     "random_300_k6": (
         "64c68e05bdeaef1b",
-        "BadParams",
+        "BadParams: anchor valence 6 must be <= 5",
         "dd8c1a209816d415",
         "a16ca9bd11ead71c",
         "c99392c196455f66",
-        "NotRegularProfile",
+        "BadParams: vertex 2 has valence 3, not 1 or 6",
     ),
     "spider_8x6": (
         "00ee5ea62d33c384",
-        "BadParams",
-        "BadParams",
+        "BadParams: anchor valence 8 must be <= 7",
+        "BadParams: anchor valence 8 must be <= 7",
         "25c295fa2919c7c2",
         "088c010cac07e7da",
-        "NotRegularProfile",
+        "BadParams: vertex 1 has valence 2, not 1 or 8",
     ),
-    "random_300": "6919b89a0565f340",
+    "random_300": "f7ddc55b0454a064",
 }
 
 
