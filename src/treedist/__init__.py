@@ -16,7 +16,6 @@ module, is imported on first access (a module __getattr__, PEP 562), so a
 _EXPORTS = {
     "coloring": (
         "ColoringTrace",
-        "MainLine",
         "balanced_colors",
         "color_anchored",
         "color_near_distinguishing",

@@ -57,7 +57,7 @@ def _dot_lines(tree: Tree, coloring: Coloring, trace: ColoringTrace | None) -> I
     vertex, so each color indexes the palette."""
     bold = set()
     for line in trace.main_lines if trace is not None else ():
-        for u, v in zip(line.vertices, line.vertices[1:]):
+        for u, v in zip(line, line[1:]):
             bold.add((min(u, v), max(u, v)))
     yield "graph tree {\n"
     yield "  node [style=filled, shape=circle];\n"
@@ -131,8 +131,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     trace = None
     if args.algorithm == "main":
         if args.colors is None:
-            print("error: --colors is required for the main algorithm", file=sys.stderr)
-            return 2
+            raise BadParams("--colors is required for the main algorithm")
         coloring, trace = color_tree(tree, args.colors)
     elif args.algorithm == "near":
         coloring = color_near_distinguishing(tree)
@@ -148,8 +147,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         coloring = color_spine(tree, spine)
     else:  # anchored
         if args.anchor is None:
-            print("error: --anchor is required for the anchored algorithm", file=sys.stderr)
-            return 2
+            raise BadParams("--anchor is required for the anchored algorithm")
         coloring = color_anchored(tree, args.anchor)
 
     if args.coloring_out:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from .errors import BadParams
 from .symmetry import UNCOLORED, Coloring, canonical_labels
-# fix_radius lived here before tree_core, and stays importable from here
 from .tree_core import Record, RootedView, Tree, fix_radius, max_valence, root_at
 
 
@@ -68,26 +67,18 @@ def lsb_digits(index: int, length: int, base: int) -> list[int]:
     return digits
 
 
-class MainLine(Record):
-    """One separated group member: its anchor, the anchor plus the
-    digit-colored segment below it, the digit sequence, and the group index."""
-
-    __slots__ = _fields = ("anchor", "vertices", "sequence", "index")
-
-    def __init__(self, anchor: int, vertices: tuple[int, ...], sequence: tuple[int, ...], index: int):
-        self.anchor = anchor
-        self.vertices = vertices
-        self.sequence = sequence
-        self.index = index
-
-
 class ColoringTrace(Record):
     """Which rule colored each vertex, plus the main lines grouped by event.
 
     Rule tags: "root", "step2_default", "step3_optimal", "main_line[i]",
     "step4_case1", "step4_case1_no_branch", "step4_case2", "lemma"
-    (delegated colorings).  Lines within one group carry pairwise distinct
-    digit sequences and are vertex-disjoint from all other lines.
+    (delegated colorings).  A main line is the tuple of its vertices: a
+    group member (its anchor), then the fix_radius(c, k) vertices of a
+    deepest descent below it, whose colors are lsb_digits(i, radius, c) for
+    the group's i-th member.  line_groups holds one list of lines per group,
+    in the order the groups were separated, and main_lines all of them.
+    Lines within one group carry pairwise distinct digit strings and are
+    vertex-disjoint from all other lines.
     """
 
     __slots__ = _fields = ("rules", "line_groups")
@@ -95,17 +86,14 @@ class ColoringTrace(Record):
 
     def __init__(self, rules: list[str]):
         self.rules = rules
-        self.line_groups: list[list[MainLine]] = []
+        self.line_groups: list[list[tuple[int, ...]]] = []
 
     @property
-    def main_lines(self) -> list[MainLine]:
-        return [ml for group in self.line_groups for ml in group]
+    def main_lines(self) -> list[tuple[int, ...]]:
+        return [line for group in self.line_groups for line in group]
 
     def to_json_dict(self) -> dict:
-        return {
-            "rules": list(self.rules),
-            "main_lines": [list(ml.vertices) for ml in self.main_lines],
-        }
+        return {"rules": list(self.rules), "main_lines": [list(line) for line in self.main_lines]}
 
 
 def _fill_sibling_distinct(rv: RootedView, colors: list[int], palette_size: int) -> None:
@@ -121,15 +109,15 @@ def _fill_sibling_distinct(rv: RootedView, colors: list[int], palette_size: int)
                 colors[w] = i
 
 
-def _longest_descent(rv: RootedView, v: int) -> list[int]:
-    """Path from v to a deepest leaf of its subtree; ties descend through the
-    smallest vertex id."""
+def _descent(rv: RootedView, v: int, length: int) -> tuple[int, ...]:
+    """The first `length` vertices (fewer at a leaf) of a path from v to a
+    deepest leaf of its subtree; ties descend through the smallest vertex id."""
     path = [v]
     cur = v
-    while rv.children[cur]:
+    while len(path) < length and rv.children[cur]:
         cur = max(rv.children[cur], key=lambda x: (rv.heights[x], -x))
         path.append(cur)
-    return path
+    return tuple(path)
 
 
 def color_tree(tree: Tree, num_colors: int) -> tuple[Coloring, ColoringTrace]:
@@ -200,11 +188,9 @@ def color_tree(tree: Tree, num_colors: int) -> tuple[Coloring, ColoringTrace]:
             groups.setdefault((colors[x], shape[x]), []).append(x)
         return [g for g in groups.values() if len(g) >= 2]
 
-    def step4(line: MainLine) -> list[list[int]]:
+    def step4(line: tuple[int, ...]) -> list[list[int]]:
         created: list[list[int]] = []
-        verts = line.vertices
-        for j in range(len(verts) - 1):
-            w, on_line = verts[j], verts[j + 1]
+        for w, on_line in zip(line, line[1:]):
             a = colors[on_line]
             offline = [x for x in rv.children[w] if x != on_line]
             if not offline:
@@ -231,26 +217,17 @@ def color_tree(tree: Tree, num_colors: int) -> tuple[Coloring, ColoringTrace]:
         # those lines and may create new sets, processed depth-first
         stack = list(sets)
         while stack:
-            lines: list[MainLine] = []
+            lines: list[tuple[int, ...]] = []
             for group in twins(stack.pop()):
-                event: list[MainLine] = []
+                event = []
                 for idx, v in enumerate(group):
-                    path = _longest_descent(rv, v)
-                    seq = lsb_digits(idx, radius, c)
-                    assert len(path) > radius, "distance condition guarantees room"
-                    for pos, col in enumerate(seq):
-                        w = path[pos + 1]
+                    line = _descent(rv, v, radius + 1)
+                    assert len(line) == radius + 1, "distance condition guarantees room"
+                    for w, col in zip(line[1:], lsb_digits(idx, radius, c)):
                         assert colors[w] == UNCOLORED
                         colors[w] = col
                         rules[w] = f"main_line[{idx}]"
-                    event.append(
-                        MainLine(
-                            anchor=v,
-                            vertices=tuple(path[: radius + 1]),
-                            sequence=tuple(seq),
-                            index=idx,
-                        )
-                    )
+                    event.append(line)
                 trace.line_groups.append(event)
                 lines.extend(event)
             for line in lines:
@@ -400,7 +377,8 @@ def color_regular(tree: Tree) -> Coloring:
     """Two-coloring of a tree whose valences are all 1 or k, fixing every
     internal vertex (only leaves may stay interchangeable).
 
-    The center is white with black neighbors; below that, same-colored
+    The center's roots are white (an edge center's second root black) and
+    their children black; below that, same-colored
     internal siblings are told apart by giving their child groups pairwise
     different black-counts (there are exactly k such patterns on k-1 slots),
     assigned in ascending vertex id.
@@ -414,17 +392,10 @@ def color_regular(tree: Tree) -> Coloring:
         raise BadParams(f"vertex {bad[0]} has valence {tree.degree(bad[0])}, not 1 or {k}")
     rv = tree.centered
     colors = [UNCOLORED] * n
-    if len(rv.roots) == 1:
-        v = rv.roots[0]
-        colors[v] = 0
-        for x in rv.children[v]:
+    for i, r in enumerate(rv.roots):
+        colors[r] = i
+        for x in rv.children[r]:
             colors[x] = 1
-    else:
-        a, b = rv.roots
-        colors[a], colors[b] = 0, 1
-        for r in (a, b):
-            for x in rv.children[r]:
-                colors[x] = 1
     for u in rv.order:
         kids = rv.children[u]
         if not kids:

@@ -69,18 +69,20 @@ class Coloring(Record):
         return {"num_colors": self.num_colors, "colors": list(self.colors)}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Coloring":
-        """Values are taken as they are: __init__ refuses 1.7, "1" or true,
-        and colors must be a JSON array, not a string or an object."""
+    def from_json_dict(cls, data: object) -> "Coloring":
+        """Values are taken as they are: __init__ refuses 1.7, "1" or true.
+        The coloring must be a JSON object and colors a JSON array; a string
+        or an object is iterable too, as its characters or keys."""
+        if type(data) is not dict:
+            raise BadFormat(f"malformed coloring: the coloring must be a JSON object, not {type(data).__name__}")
         try:
             num_colors = data["num_colors"]
-            colors = tuple(data["colors"])
-        except (KeyError, TypeError) as exc:
-            raise BadFormat(f"malformed coloring: {type(exc).__name__}: {exc}") from None
-        # a string or an object is iterable too, as its characters or keys
-        if type(data["colors"]) is not list:
-            raise BadFormat(f"malformed coloring: colors must be a JSON array, not {type(data['colors']).__name__}")
-        return cls(num_colors=num_colors, colors=colors)
+            colors = data["colors"]
+        except KeyError as exc:
+            raise BadFormat(f"malformed coloring: KeyError: {exc}") from None
+        if type(colors) is not list:
+            raise BadFormat(f"malformed coloring: colors must be a JSON array, not {type(colors).__name__}")
+        return cls(num_colors=num_colors, colors=tuple(colors))
 
 
 def canonical_labels(rv: RootedView, colors: Sequence[int]) -> list[int]:

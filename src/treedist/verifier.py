@@ -94,19 +94,8 @@ def verify_fixing_guarantee(tree: Tree, num_colors: int, coloring: Coloring | No
     heights = tree.centered.heights
     radius = fix_radius(num_colors, k)
     witnesses = [u for u in range(tree.n) if heights[u] >= radius and not fixed[u]]
-    failures = []
-    if witnesses:
-        failures.append(
-            Failure(
-                seed=None,
-                n=tree.n,
-                k=k,
-                c=num_colors,
-                prop="fixing_guarantee",
-                witness={"unfixed_but_guaranteed": witnesses},
-            )
-        )
-    return CampaignReport(trials=1, failures=failures)
+    witness = {"unfixed_but_guaranteed": witnesses} if witnesses else None
+    return _one_trial(tree, k, num_colors, "fixing_guarantee", witness)
 
 
 def verify_near_distinguishing(tree: Tree) -> CampaignReport:
@@ -129,18 +118,13 @@ def verify_near_distinguishing(tree: Tree) -> CampaignReport:
         a, b = unfixed
         shared = set(tree.adjacency[a]) & set(tree.adjacency[b])
         ok = tree.degree(a) == 1 == tree.degree(b) and bool(shared)
-    failures = []
-    if not ok:
-        failures.append(
-            Failure(
-                seed=None,
-                n=tree.n,
-                k=k,
-                c=coloring.num_colors,
-                prop="near_distinguishing",
-                witness={"unfixed": unfixed},
-            )
-        )
+    return _one_trial(tree, k, coloring.num_colors, "near_distinguishing", None if ok else {"unfixed": unfixed})
+
+
+def _one_trial(tree: Tree, k: int, c: int, prop: str, witness: dict | None) -> CampaignReport:
+    """The report of one check of `prop`: passed without a witness, else one
+    failure with no seed, since the caller's tree came from no generator."""
+    failures = [] if witness is None else [Failure(None, tree.n, k, c, prop, witness)]
     return CampaignReport(trials=1, failures=failures)
 
 

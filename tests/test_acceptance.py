@@ -58,11 +58,10 @@ def test_criterion_02_hub10_fixture():
     coloring, trace = color_tree(t, 3)
     assert trace.line_groups
     for group in trace.line_groups:
-        seqs = [ml.sequence for ml in group]
+        seqs = [tuple(coloring.colors[v] for v in line[1:]) for line in group]
         assert len(set(seqs)) == len(seqs)
-        for ml in group:
-            assert len(ml.sequence) == 2
-            assert len(ml.vertices) == 3  # anchor plus two colored spheres
+        for line in group:
+            assert len(line) == 3  # anchor plus two colored spheres, one digit each
     rep = fix_report(t, coloring)
     rv = root_at(t, center(t))
     sphere1 = [v for v in range(t.n) if rv.depth[v] == 1]

@@ -174,6 +174,20 @@ class TestColor:
         code, _, err = run(capsys, "color", str(FIXDIR / "path10.tree"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "algorithm, message",
+        [
+            ("main", "--colors is required for the main algorithm"),
+            ("anchored", "--anchor is required for the anchored algorithm"),
+        ],
+    )
+    def test_missing_algorithm_option_exit2(self, capsys, tmp_path, algorithm, message):
+        # the error goes through main's one error path, before any output
+        out_file = tmp_path / "coloring.json"
+        argv = ["color", "-a", algorithm, str(FIXDIR / "path10.tree"), "--coloring-out", str(out_file)]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert not out_file.exists()
+
     def test_bad_vertex_count_header_exit2(self, capsys, tmp_path):
         bad = tmp_path / "bad.tree"
         for header in ("# n=x", "# n=0", "# n=-3"):
@@ -301,6 +315,20 @@ class TestVerify:
             assert code == 2
             assert err.startswith("error: ")
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"[0, 1, 0, 1, 0]", "the coloring must be a JSON object, not list"),
+            (b'{"colors": [0, 1, 0, 1, 0]}', "KeyError: 'num_colors'"),
+        ],
+    )
+    def test_malformed_coloring_message(self, capsys, tmp_path, data, message):
+        colj = tmp_path / "coloring.json"
+        colj.write_bytes(data)
+        for report in ([], ["--report"]):
+            code, out, err = run(capsys, "verify", str(FIXDIR / "path5.tree"), "--coloring", str(colj), *report)
+            assert (code, out, err) == (2, "", f"error: malformed coloring: {message}\n")
 
     def test_no_size_cap(self, capsys, tmp_path):
         tree_path = tmp_path / "big.tree"

@@ -31,6 +31,11 @@ import helpers
 from helpers import radius_bound, reference_radius
 
 
+def digits(coloring, line):
+    """The digit string a main line spells: the colors below its anchor."""
+    return tuple(coloring.colors[v] for v in line[1:])
+
+
 class TestFixRadius:
     def test_zero_when_colors_match_valence(self):
         assert reference_radius(5, 5).kind == "zero"
@@ -200,8 +205,8 @@ class TestColorTreeMain:
         groups = {len(g) for g in trace.line_groups}
         assert groups == {3, 4}
         big = next(g for g in trace.line_groups if len(g) == 4)
-        assert [ml.sequence for ml in big] == [(0, 0), (1, 0), (2, 0), (0, 1)]
-        assert all(len(ml.vertices) == 3 for ml in trace.main_lines)  # anchor + 2 digits
+        assert [digits(coloring, line) for line in big] == [(0, 0), (1, 0), (2, 0), (0, 1)]
+        assert all(len(line) == 3 for line in trace.main_lines)  # anchor + 2 digits
         rep = fix_report(t, coloring)
         assert all(rep.fixed[v] for v in sphere1)
         assert guaranteed_vertices(t, 3) <= rep.fixed_set()
@@ -274,10 +279,10 @@ class TestColorTreeMain:
     def _check_trace_properties(t, c, kv, coloring, trace):
         seen = set()
         for group in trace.line_groups:
-            seqs = [ml.sequence for ml in group]
+            seqs = [digits(coloring, line) for line in group]
             assert len(set(seqs)) == len(seqs)  # pairwise distinct sequences
-            for ml in group:
-                for v in ml.vertices:
+            for line in group:
+                for v in line:
                     assert v not in seen  # lines are vertex-disjoint
                     seen.add(v)
         if c <= kv - 2:
@@ -363,8 +368,8 @@ class TestStepFourVariants:
         assert tags["step4_case1"] == 10  # 2 lines: y, chain vertex, 3 branch members
         rv = root_at(t, center(t))
         for group in trace.line_groups:
-            for ml in group:
-                off = [x for x in rv.children[ml.vertices[1]] if x != ml.vertices[2]]
+            for line in group:
+                off = [x for x in rv.children[line[1]] if x != line[2]]
                 (y,) = off
                 branch = rv.children[rv.children[y][0]]
                 assert all(coloring.colors[b] == 1 for b in branch)
@@ -376,8 +381,8 @@ class TestStepFourVariants:
         rv = root_at(t, center(t))
         found = 0
         for group in trace.line_groups:
-            for ml in group:
-                off = [x for x in rv.children[ml.vertices[1]] if x != ml.vertices[2]]
+            for line in group:
+                off = [x for x in rv.children[line[1]] if x != line[2]]
                 (y,) = off
                 branch = rv.children[rv.children[y][0]]
                 assert [coloring.colors[b] for b in branch] == [0, 1, 0, 1]
@@ -418,8 +423,8 @@ class TestStepFourVariants:
         rv = root_at(t, center(t))
         assert trace.line_groups
         shifts = 0
-        for ml in trace.main_lines:
-            anchor, on_line = ml.vertices[0], ml.vertices[1]
+        for line in trace.main_lines:
+            anchor, on_line = line[0], line[1]
             for x in rv.children[anchor]:
                 if x != on_line:
                     assert coloring.colors[x] == (coloring.colors[on_line] + 1) % 3

@@ -19,7 +19,6 @@ import treedist
 DEFINED_IN = {
     "coloring": [
         "ColoringTrace",
-        "MainLine",
         "balanced_colors",
         "color_anchored",
         "color_near_distinguishing",
@@ -67,7 +66,7 @@ EXPORTS = sorted([*DEFINED_IN, *(name for _, name in NAMES)])
 
 
 def test_all_is_the_export_list():
-    assert len(EXPORTS) == 39
+    assert len(EXPORTS) == 38
     assert sorted(treedist.__all__) == EXPORTS
 
 
@@ -97,6 +96,16 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(treedist, "__no_such_dunder__")
     with pytest.raises(ImportError):
         from treedist import no_such_name  # noqa: F401
+
+
+def test_coloring_defines_one_record_type():
+    # a main line is the tuple of its vertices; no record type wraps it
+    defined = [
+        name
+        for name, value in vars(treedist.coloring).items()
+        if isinstance(value, type) and value.__module__ == "treedist.coloring"
+    ]
+    assert defined == ["ColoringTrace"]
 
 
 def test_fix_radius_reexported_from_coloring():

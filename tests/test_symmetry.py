@@ -23,9 +23,11 @@ from treedist import (
     color_tree,
     distinguishing_number,
     enumerate_automorphisms,
+    fix_radius,
     fix_report,
     fixed_vertices,
     longest_spine,
+    lsb_digits,
     max_valence,
     random_tree,
     root_at,
@@ -380,8 +382,8 @@ class TestColoringValidation:
         [
             ("010", "colors must be a JSON array, not str"),
             ({"0": 1, "1": 0, "2": 1}, "colors must be a JSON array, not dict"),
-            (7, "TypeError: 'int' object is not iterable"),
-            (None, "TypeError: 'NoneType' object is not iterable"),
+            (7, "colors must be a JSON array, not int"),
+            (None, "colors must be a JSON array, not NoneType"),
         ],
     )
     def test_json_colors_must_be_an_array(self, colors, message):
@@ -389,6 +391,18 @@ class TestColoringValidation:
         # not the colors
         with pytest.raises(BadFormat, match=f"^malformed coloring: {re.escape(message)}$"):
             Coloring.from_json_dict({"num_colors": 2, "colors": colors})
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([0, 1, 0, 1, 0], "the coloring must be a JSON object, not list"),
+            (None, "the coloring must be a JSON object, not NoneType"),
+            ("01010", "the coloring must be a JSON object, not str"),
+        ],
+    )
+    def test_json_coloring_must_be_an_object(self, data, message):
+        with pytest.raises(BadFormat, match=f"^malformed coloring: {re.escape(message)}$"):
+            Coloring.from_json_dict(data)
 
 
 class TestFixReportPeakMemory:
@@ -1043,6 +1057,31 @@ def test_separation_outputs_pinned():
         digest.update(json.dumps(color_near_distinguishing(t).to_json_dict()).encode())
     assert lines >= 100
     assert digest.hexdigest()[:16] == GOLDEN_SEPARATION
+
+
+@pytest.mark.parametrize("name", ["spider_8x6", "complete_1_7_depth3", "hub4_binary4", "hub10_tails2"])
+def test_main_lines_spell_group_indices(name):
+    # below its anchor, the i-th line of a group reads lsb_digits(i) down a
+    # deepest descent, so the lines of one group spell different strings
+    t = _golden_tree(name)
+    k = max_valence(t)
+    rv = t.centered
+    lines = 0
+    for c in range(2, k - 1):
+        coloring, trace = color_tree(t, c)
+        radius = fix_radius(c, k)
+        for group in trace.line_groups:
+            spelled = set()
+            for i, line in enumerate(group):
+                assert len(line) == radius + 1
+                for u, v in zip(line, line[1:]):
+                    assert rv.parent[v] == u and rv.heights[v] == rv.heights[u] - 1
+                digits = [coloring.colors[v] for v in line[1:]]
+                assert digits == lsb_digits(i, radius, c)
+                spelled.add(tuple(digits))
+            assert len(spelled) == len(group)
+            lines += len(group)
+    assert lines
 
 
 class TestColorTreeLabelCalls:

@@ -98,13 +98,13 @@ class TestVerifyFixingGuarantee:
         group = max(trace.line_groups, key=len)
         first, second = group[0], group[1]
         mutated = list(coloring.colors)
-        for a, b in zip(first.vertices[1:], second.vertices[1:]):
+        for a, b in zip(first[1:], second[1:]):
             mutated[b] = mutated[a]  # force two main lines equal
         bad = Coloring(coloring.num_colors, tuple(mutated))
         report = verify_fixing_guarantee(t, 3, coloring=bad)
         assert not report.passed
         witness = report.failures[0].witness["unfixed_but_guaranteed"]
-        assert first.anchor in witness and second.anchor in witness
+        assert first[0] in witness and second[0] in witness
 
     def test_witness_replay(self):
         t = random_tree(20, 4, 123)
