@@ -167,7 +167,6 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .symmetry import Coloring, fix_report
-    from .verifier import verify_fixing_guarantee
 
     tree = read_tree(args.tree)
     with open(args.coloring, "r", encoding="utf-8") as fh:
@@ -179,6 +178,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.report:
         print(json.dumps(fix_report(tree, coloring).to_json_dict()))
         return 0
+    from .verifier import verify_fixing_guarantee
+
     c = coloring.num_colors
     rep = verify_fixing_guarantee(tree, c, coloring=coloring)
     print(json.dumps(rep.to_json_dict()))

@@ -291,7 +291,7 @@ def _color_sibling_distinct(rv: RootedView, num_colors: int) -> Coloring:
     """A lone root gets 0, the two roots of an edge center 1 and 0, and
     below them every vertex's children pairwise different colors, so every
     color-preserving automorphism that keeps the roots fixes every vertex."""
-    colors = [UNCOLORED] * rv.tree.n
+    colors = [UNCOLORED] * rv.n
     for i, r in enumerate(reversed(rv.roots)):
         colors[r] = i
     _fill_sibling_distinct(rv, colors, num_colors)

@@ -101,7 +101,7 @@ def canonical_labels(rv: RootedView, colors: Sequence[int]) -> list[int]:
     # those of (color, sorted child labels) keys without building the tuple
     table: dict[int | tuple[int, int] | tuple[int, tuple[int, ...]], int] = {}
     children = rv.children
-    labels = [0] * rv.tree.n
+    labels = [0] * rv.n
     label_of = labels.__getitem__
     for u in reversed(rv.order):
         below = children[u]
@@ -139,7 +139,7 @@ def canonical_codes(rv: RootedView, coloring: Coloring) -> list[bytes]:
     no library path calls this.  Equal codes mean isomorphic colored subtrees.
     """
     codes = _byte_codes(rv, reversed(rv.order), coloring.colors, coloring.num_colors)
-    return [codes[u] for u in range(rv.tree.n)]
+    return [codes[u] for u in range(rv.n)]
 
 
 def subtree_code(rv: RootedView, colors: list[int], num_colors: int, u: int) -> bytes:
@@ -153,7 +153,7 @@ def structural_codes(rv: RootedView) -> list[bytes]:
     """Per-vertex canonical byte code of the uncolored subtree shape below
     each vertex."""
     codes = _byte_codes(rv, reversed(rv.order))
-    return [codes[u] for u in range(rv.tree.n)]
+    return [codes[u] for u in range(rv.n)]
 
 
 class FixReport(Record):
@@ -202,7 +202,7 @@ def _fixed(rv: RootedView, labels: Sequence[int]) -> list[bool]:
     permutes its children within classes of equal label, and every such
     permutation extends to one.  An unfixed parent's subtree stays unfixed.
     """
-    fixed = [False] * rv.tree.n
+    fixed = [False] * rv.n
     roots = rv.roots
     if len(roots) == 1 or labels[roots[0]] != labels[roots[1]]:
         for r in roots:

@@ -71,8 +71,7 @@ class Tree(Record):
         return len(self.adjacency[v])
 
     def check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise BadParams(f"vertex {v} not in 0..{self.n - 1}")
+        _check_vertex(v, self.n)
 
     @cached_property
     def centered(self) -> RootedView:
@@ -88,6 +87,11 @@ class Tree(Record):
         view = root_at(self, center(self))
         self.__dict__.pop("_peel", None)
         return view
+
+
+def _check_vertex(v: int, n: int) -> None:
+    if not 0 <= v < n:
+        raise BadParams(f"vertex {v} not in 0..{n - 1}")
 
 
 def tree_from_edges(edges: Iterable[tuple[int, int]], n: int | None = None) -> Tree:
@@ -371,13 +375,14 @@ class RootedView:
 
     One breadth-first loop builds every view, and one bottom-up pass its
     heights.  The roots must be one vertex or the two ends of an edge: the
-    loop follows edges only.
+    loop follows edges only.  A view keeps its tree's vertex count n, not
+    the tree, so Tree.centered forms no reference cycle and reference
+    counting frees a tree and its view as soon as the last caller drops it.
     """
 
     def __init__(self, tree: Tree, roots: tuple[int, ...]):
-        self.tree = tree
+        self.n = n = tree.n
         self.roots = ends = tuple(sorted(roots))
-        n = tree.n
         adjacency = tree.adjacency
         if len(ends) not in (1, 2) or len(ends) == 2 and ends[1] not in adjacency[ends[0]]:
             raise BadParams(f"roots {tuple(roots)} are neither one vertex nor the two ends of an edge")
@@ -424,7 +429,7 @@ class RootedView:
     def depth(self) -> tuple[int, ...]:
         """Each vertex's distance from its root, built on first access;
         only longest_spine reads it, so no other view pays for it."""
-        depth = [0] * self.tree.n
+        depth = [0] * self.n
         parent = self.parent
         for u in islice(self.order, len(self.roots), None):
             depth[u] = depth[parent[u]] + 1
@@ -432,7 +437,7 @@ class RootedView:
 
     def subtree(self, u: int) -> list[int]:
         """u together with all of its descendants, in preorder."""
-        self.tree.check_vertex(u)
+        _check_vertex(u, self.n)
         out = [u]
         stack = list(reversed(self.children[u]))
         while stack:

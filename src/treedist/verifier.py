@@ -2,10 +2,11 @@
 
 Every check returns a CampaignReport whose failures are self-describing: a
 failure carries the generator arguments (seed, n, k) plus the color count, so
-it can be replayed standalone.  Trials are independent, so campaigns can be
-sharded over a process pool; the aggregate is order-independent (failures are
-sorted by seed).  The oracle is symmetry.fixed_vertices, one labelling run
-and one top-down pass, near-linear in n, so no check caps the tree size.
+it can be replayed standalone.  Trials are independent, so a campaign runs
+as contiguous ranges of trial indices, over a process pool if asked; the
+ranges are joined in index order, so failures come out sorted by seed.
+The oracle is symmetry.fixed_vertices, one labelling run and one top-down
+pass, near-linear in n, so no check caps the tree size.
 Reports carry no timing, so payloads are byte-identical across runs.
 """
 
@@ -17,16 +18,6 @@ import random
 from .errors import BadParams
 from .symmetry import Coloring, fixed_vertices
 from .tree_core import Record, Tree, fix_radius, max_valence, random_tree
-
-#: Bound by _import_colorings when a check first colors a tree, so checking
-#: a coloring that is given, as `treedist verify` does, never loads them.
-color_tree = color_near_distinguishing = None
-
-
-def _import_colorings() -> None:
-    global color_tree, color_near_distinguishing
-    from .coloring import color_near_distinguishing, color_tree
-
 
 class Failure(Record):
     """One violated property with enough context to replay it."""
@@ -87,8 +78,10 @@ def verify_fixing_guarantee(tree: Tree, num_colors: int, coloring: Coloring | No
     if num_colors < 2:
         raise BadParams(f"need at least 2 colors, got {num_colors}")
     if coloring is None:
-        if color_tree is None:
-            _import_colorings()
+        # imported here, so checking a given coloring, as `treedist verify`
+        # does, never loads the colorings
+        from .coloring import color_tree
+
         coloring, _ = color_tree(tree, num_colors)
     fixed = fixed_vertices(tree, coloring)
     heights = tree.centered.heights
@@ -109,8 +102,8 @@ def verify_near_distinguishing(tree: Tree) -> CampaignReport:
     k = max_valence(tree)
     if k < 3:
         return CampaignReport(trials=1, skipped=1)
-    if color_near_distinguishing is None:
-        _import_colorings()
+    from .coloring import color_near_distinguishing
+
     coloring = color_near_distinguishing(tree)
     unfixed = [v for v, f in enumerate(fixed_vertices(tree, coloring)) if not f]
     ok = not unfixed
@@ -154,28 +147,53 @@ def _campaign_trial(args: tuple[int, int, int, int]) -> tuple[int, list[Failure]
     return skipped, failures
 
 
+def _campaign_range(args: tuple[int, range, int, int]) -> tuple[int, list[Failure]]:
+    """The trials of one index range, in order: only their skip count and
+    their failures are kept, so a call's memory does not grow with the range."""
+    seed, indices, n_max, k_max = args
+    skipped = 0
+    failures: list[Failure] = []
+    for index in indices:
+        s, fs = _campaign_trial((seed, index, n_max, k_max))
+        skipped += s
+        failures += fs
+    return skipped, failures
+
+
+def _trial_ranges(trials: int, parts: int) -> list[range]:
+    """range(trials) cut into min(trials, parts) contiguous ranges, in order,
+    whose lengths differ by at most one."""
+    parts = min(trials, parts)
+    return [range(trials * i // parts, trials * (i + 1) // parts) for i in range(parts)]
+
+
 def run_random_campaign(
     trials: int, n_max: int, k_max: int, seed: int, jobs: int = 1
 ) -> CampaignReport:
     """Seeded random campaign: per trial, generate a tree, verify the fixing
     guarantee at a random admissible color count, and verify the
-    near-distinguishing guarantee.  Deterministic for fixed arguments."""
+    near-distinguishing guarantee.  Deterministic for fixed arguments.
+
+    The trials run as about 4 contiguous index ranges per worker, one call
+    each, and a call returns only its skip count and failures, so memory
+    does not grow with the trial count.  Ranges are joined in index order,
+    which is (seed, property) order: the failures need no sort."""
     if trials < 1 or n_max < 1 or k_max < 2:
         raise BadParams("need trials >= 1, n_max >= 1, k_max >= 2")
-    # bound before the pool forks its workers, so no trial imports them
-    _import_colorings()
-    work = [(seed, i, n_max, k_max) for i in range(trials)]
+    # imported before the pool forks its workers, so no worker compiles it
+    from . import coloring  # noqa: F401
+
     # more workers than trials or cores only costs process start-ups
     workers = min(jobs, trials, os.cpu_count() or 1)
+    work = [(seed, r, n_max, k_max) for r in _trial_ranges(trials, 4 * max(workers, 1))]
     if workers > 1:
         # imported here: the pool costs every other run its import time
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_campaign_trial, work, chunksize=max(1, trials // (4 * workers))))
+            results = list(pool.map(_campaign_range, work))
     else:
-        results = [_campaign_trial(w) for w in work]
+        results = list(map(_campaign_range, work))
     skipped = sum(s for s, _ in results)
     failures = [f for _, fs in results for f in fs]
-    failures.sort(key=lambda f: (f.seed or 0, f.prop))
     return CampaignReport(trials=trials, skipped=skipped, failures=failures)

@@ -392,7 +392,7 @@ def reference_orbits(rv, labels: list[int]) -> tuple[int, ...]:
     """fix_report's orbit ids as first computed: every child keyed by its
     parent's orbit and its label, in one table for unfixed parents and in a
     fresh one per fixed parent, leaves included."""
-    orbit = [-1] * rv.tree.n
+    orbit = [-1] * rv.n
     sizes: list[int] = []
     if len(rv.roots) == 2 and labels[rv.roots[0]] == labels[rv.roots[1]]:
         orbit[rv.roots[0]] = orbit[rv.roots[1]] = 0

@@ -507,7 +507,7 @@ class TestLoadedLayers:
             (["gen", "-n", "50"], []),
             (["dnumber", "TREE"], ["treedist.symmetry"]),
             (["verify", "TREE", "--coloring", "COLORING"], ["treedist.symmetry", "treedist.verifier"]),
-            (["verify", "TREE", "--coloring", "COLORING", "--report"], ["treedist.symmetry", "treedist.verifier"]),
+            (["verify", "TREE", "--coloring", "COLORING", "--report"], ["treedist.symmetry"]),
             (["color", "-c", "3", "TREE"], ["treedist.coloring", "treedist.symmetry"]),
             (["color", "-a", "near", "TREE", "--dot-out", "-"], ["treedist.coloring", "treedist.symmetry"]),
             (["campaign", "--trials", "5"], list(LAYERS)),

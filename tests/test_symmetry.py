@@ -125,7 +125,7 @@ class TestCanonicalLabels:
         rv, coloring = case
         labels = canonical_labels(rv, coloring.colors)
         codes = canonical_codes(rv, coloring)
-        n = rv.tree.n
+        n = rv.n
         for u in range(n):
             for v in range(n):
                 assert (labels[u] == labels[v]) == (codes[u] == codes[v])

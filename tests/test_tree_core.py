@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import re
 import tracemalloc
+import weakref
 from array import array
 
 import mpmath
@@ -292,7 +294,7 @@ class TestCentered:
     @staticmethod
     def _assert_fresh_view(t):
         fresh = root_at(t, center(t))
-        assert t.centered.tree is t
+        assert t.centered.n == t.n
         for name in VIEW_FIELDS:
             assert getattr(t.centered, name) == getattr(fresh, name), name
 
@@ -320,6 +322,21 @@ class TestCentered:
         assert t == twin and hash(t) == hash(twin)
         assert repr(t) == before
         assert "centered" not in repr(t)
+
+    def test_freed_by_reference_counting(self):
+        # the view keeps n, not the tree, so a parsed, centered tree and its
+        # view are freed when the last name goes, with no cyclic collection
+        t = parse_edge_list("0 1\n1 2\n1 3\n3 4\n")
+        assert t.centered.roots == (1, 3)
+        ref = weakref.ref(t)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del t
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestOnePeel:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from treedist import (
@@ -13,6 +16,7 @@ from treedist import (
     verify_fixing_guarantee,
     verify_near_distinguishing,
 )
+from treedist import verifier
 from treedist.errors import BadParams
 
 import helpers
@@ -207,6 +211,51 @@ class TestRunRandomCampaign:
         assert seen == ([] if workers is None else [workers])
         serial = run_random_campaign(trials=trials, n_max=12, k_max=4, seed=2, jobs=1)
         assert report.to_json_dict() == serial.to_json_dict()
+
+    # sha256 of the campaign JSON at the CLI's defaults (n_max 40, k_max 8,
+    # seed 0), recorded when the trials still ran one call each and the
+    # failures were sorted after the run
+    PAYLOAD_SHA256 = {
+        1: "63cf6785e98cef28e29753098a18448ed3a0a24b08d4dd69c3f751f7f94ddd80",
+        3: "66de9f3577f29f25b53643292ee33c461c41822a6291428bc0a2a44720034959",
+        7: "5fce94496b4d71ba1e81441b79098e4499772f3767d975ce387f1211ddf2633c",
+        601: "125ad7282d61755cb4b8cd1fd5dbd6683f6fb6612132086074cacc66f0bfe5d9",
+    }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("trials", sorted(PAYLOAD_SHA256))
+    def test_payload_pinned(self, trials, jobs):
+        # trials below 4 x workers give ranges of one trial, or one worker
+        report = run_random_campaign(trials, 40, 8, 0, jobs=jobs)
+        payload = json.dumps(report.to_json_dict()).encode()
+        assert hashlib.sha256(payload).hexdigest() == self.PAYLOAD_SHA256[trials]
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 7, 8, 9, 601])
+    @pytest.mark.parametrize("parts", [1, 4, 8])
+    def test_trial_ranges_cover_every_index_once_in_order(self, trials, parts):
+        ranges = verifier._trial_ranges(trials, parts)
+        assert len(ranges) == min(trials, parts)
+        assert [i for r in ranges for i in r] == list(range(trials))
+        assert max(map(len, ranges)) - min(map(len, ranges)) <= 1
+
+    def test_failures_in_seed_then_property_order(self, monkeypatch):
+        # with nothing fixed both checks fail on many trials; the ranges,
+        # joined unsorted, must give every trial's failures in trial order
+        monkeypatch.setattr(verifier, "fixed_vertices", lambda tree, coloring: [False] * tree.n)
+        report = run_random_campaign(trials=40, n_max=12, k_max=5, seed=3)
+        serial = [f for i in range(40) for f in verifier._campaign_trial((3, i, 12, 5))[1]]
+        assert len({f.prop for f in serial}) == 2
+        assert report.failures == serial
+        assert report.failures == sorted(serial, key=lambda f: (f.seed, f.prop))
+
+    def test_traced_peak_flat_in_trials(self):
+        # each range call keeps only its skip count and failures, and a
+        # trial's tree is freed when it returns: the peak must not follow
+        # the trial count
+        run_random_campaign(1, 12, 5, 1)
+        _, small, _ = helpers.traced_peak(lambda: run_random_campaign(1000, 12, 5, 1))
+        _, large, _ = helpers.traced_peak(lambda: run_random_campaign(8000, 12, 5, 1))
+        assert large <= 1.2 * small, (small, large)
 
     def test_bad_params(self):
         with pytest.raises(BadParams, match="^need trials >= 1, n_max >= 1, k_max >= 2$"):
