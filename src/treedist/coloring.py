@@ -101,21 +101,27 @@ def _fill_sibling_distinct(rv: RootedView, colors: list[int], palette_size: int)
     as its color, in one pass over the view: below the vertices colored
     beforehand, every vertex's children get pairwise different colors,
     ascending ids mapped to ascending colors."""
-    children = rv.children
+    adjacency, parent = rv.adjacency, rv.parent
     for u in rv.order:
-        for i, w in enumerate(children[u]):
-            if colors[w] == UNCOLORED:
-                assert i < palette_size, "sibling group exceeds palette"
-                colors[w] = i
+        i = 0
+        for w in adjacency[u]:
+            if parent[w] == u:
+                if colors[w] == UNCOLORED:
+                    assert i < palette_size, "sibling group exceeds palette"
+                    colors[w] = i
+                i += 1
 
 
 def _descent(rv: RootedView, v: int, length: int) -> tuple[int, ...]:
     """The first `length` vertices (fewer at a leaf) of a path from v to a
-    deepest leaf of its subtree; ties descend through the smallest vertex id."""
+    deepest leaf of its subtree; ties descend through the smallest vertex id.
+    A deepest child is one a level lower, and the neighbours are ascending."""
+    adjacency, parent, heights = rv.adjacency, rv.parent, rv.heights
     path = [v]
     cur = v
-    while len(path) < length and rv.children[cur]:
-        cur = max(rv.children[cur], key=lambda x: (rv.heights[x], -x))
+    while len(path) < length and heights[cur]:
+        below = heights[cur] - 1
+        cur = next(x for x in adjacency[cur] if heights[x] == below and parent[x] == cur)
         path.append(cur)
     return tuple(path)
 
@@ -182,7 +188,7 @@ def color_tree(tree: Tree, num_colors: int) -> tuple[Coloring, ColoringTrace]:
         if len(admitted) < 2:
             return []
         if shape is None:
-            shape = canonical_labels(rv, [0] * n)
+            shape = canonical_labels(rv, bytes(n))
         groups: dict[tuple[int, int], list[int]] = {}
         for x in admitted:
             groups.setdefault((colors[x], shape[x]), []).append(x)
@@ -192,7 +198,7 @@ def color_tree(tree: Tree, num_colors: int) -> tuple[Coloring, ColoringTrace]:
         created: list[list[int]] = []
         for w, on_line in zip(line, line[1:]):
             a = colors[on_line]
-            offline = [x for x in rv.children[w] if x != on_line]
+            offline = [x for x in rv.children_of(w) if x != on_line]
             if not offline:
                 continue
             if len(offline) == 1:
@@ -240,8 +246,9 @@ def color_tree(tree: Tree, num_colors: int) -> tuple[Coloring, ColoringTrace]:
             colors[u] = 0
             rules[u] = "step2_default"
             continue
-        parent = rv.parent[u]
-        group = [x for x in rv.children[parent] if colors[x] == UNCOLORED and heights[x] >= radius]
+        # every vertex before u in BFS order is colored: the parent's own
+        # parent, and the other root of an edge center, are left out
+        group = [x for x in rv.adjacency[rv.parent[u]] if colors[x] == UNCOLORED and heights[x] >= radius]
         for x, col in zip(group, balanced_colors(len(group), list(range(c)))):
             colors[x] = col
             rules[x] = "step3_optimal"
@@ -259,7 +266,7 @@ def _two_color_descent(rv: RootedView, v2: int, colors: list[int], rules: list[s
     cur = v2
     branch: list[int] | None = None
     while True:
-        kids = rv.children[cur]
+        kids = rv.children_of(cur)
         if not kids:
             break
         if len(kids) == 1:
@@ -337,7 +344,7 @@ def color_near_distinguishing(tree: Tree) -> Coloring:
     if len(rv.roots) == 1:
         v = rv.roots[0]
         colors[v] = 0
-        nbrs = rv.children[v]
+        nbrs = rv.adjacency[v]
         for i, x in enumerate(nbrs):
             colors[x] = i % num
     else:
@@ -349,7 +356,7 @@ def color_near_distinguishing(tree: Tree) -> Coloring:
         # two bare sibling leaves stay as the allowed exceptional pair, and
         # branches of different heights are not isomorphic
         twin_a, twin_b = nbrs[0], nbrs[num]
-        if rv.children[twin_b] and rv.heights[twin_a] == rv.heights[twin_b]:
+        if 0 < rv.heights[twin_b] == rv.heights[twin_a]:
             labels = canonical_labels(rv, colors)
             if labels[twin_a] == labels[twin_b]:
                 _retint_one_leaf(rv, colors, num, twin_b)
@@ -360,13 +367,14 @@ def _retint_one_leaf(rv: RootedView, colors: list[int], num: int, branch_root: i
     """Change one leaf color inside the branch to break its isomorphism with
     the twin branch, preferring a new color that no sibling leaf carries (so
     no interchangeable pair is created at all)."""
-    leaves = [w for w in rv.subtree(branch_root) if not rv.children[w]]
+    heights = rv.heights
+    leaves = [w for w in rv.subtree(branch_root) if not heights[w]]
     for a in leaves:
-        siblings = [s for s in rv.children[rv.parent[a]] if s != a]
+        siblings = [s for s in rv.children_of(rv.parent[a]) if s != a]
         for y in range(num):
             if y == colors[a]:
                 continue
-            if not any(colors[s] == y and not rv.children[s] for s in siblings):
+            if not any(colors[s] == y and not heights[s] for s in siblings):
                 colors[a] = y
                 return
     a = leaves[0]
@@ -391,22 +399,23 @@ def color_regular(tree: Tree) -> Coloring:
     if bad:
         raise BadParams(f"vertex {bad[0]} has valence {tree.degree(bad[0])}, not 1 or {k}")
     rv = tree.centered
+    adjacency, parent, heights = rv.adjacency, rv.parent, rv.heights
     colors = [UNCOLORED] * n
     for i, r in enumerate(rv.roots):
         colors[r] = i
-        for x in rv.children[r]:
+        for x in rv.children_of(r):
             colors[x] = 1
     for u in rv.order:
-        kids = rv.children[u]
-        if not kids:
+        if not heights[u]:
             continue
         by_color: dict[int, list[int]] = {}
-        for x in kids:
-            if rv.children[x]:
+        for x in adjacency[u]:
+            if parent[x] == u and heights[x]:
                 by_color.setdefault(colors[x], []).append(x)
         for col in sorted(by_color):
             for blacks, x in enumerate(by_color[col]):
-                for i, y in enumerate(rv.children[x]):
+                # x's neighbours are its children and u
+                for i, y in enumerate(y for y in adjacency[x] if y != u):
                     colors[y] = 1 if i < blacks else 0
     return Coloring(2, tuple(colors))
 
@@ -451,7 +460,7 @@ def color_spine(tree: Tree, spine: list[int] | None = None, max_degree: int | No
     for z in spine:
         colors[z] = 1
     for z in spine:
-        offline = [x for x in rv.children[z] if x != spine_next.get(z)]
+        offline = [x for x in rv.children_of(z) if x != spine_next.get(z)]
         if len(offline) > len(off_palette):
             raise BadParams(
                 f"spine vertex {z} has {len(offline)} hanging branches; at most {len(off_palette)} fit"

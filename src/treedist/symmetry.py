@@ -1,11 +1,12 @@
 """Ground-truth engine: canonical labels, automorphism enumeration, orbits.
 
 Subtree isomorphism is decided by canonical_labels, the Aho-Hopcroft-Ullman
-scheme: bottom-up, each vertex's (color, sorted child labels) pair is interned
-to a small integer, so equal labels mean isomorphic colored rooted subtrees.
-A vertex with k children costs one sort of k integers and one dict lookup,
-O(n log k) for a tree of max valence k, where nested byte codes grew with
-subtree size, O(n^2) on a path.  It always labels the whole rooted view:
+scheme: one height level at a time, each vertex's (color, sorted child
+labels) pair is interned to a small integer, so equal labels mean isomorphic
+colored rooted subtrees.  A vertex with k children costs one sort of k
+integers and one dict lookup, O(n log k) for a tree of max valence k, where
+nested byte codes grew with subtree size, O(n^2) on a path; the intern table
+holds one level's keys at a time.  It always labels the whole rooted view:
 color_tree labels the uncolored shape once and groups sibling twins by
 color and shape, which suffices because no twin has a colored descendant
 yet.  The byte-code builders (canonical_codes, subtree_code,
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from itertools import groupby
 
 from .errors import BadFormat, BadParams, BudgetExceeded
 from .tree_core import Record, RootedView, Tree
@@ -89,29 +91,52 @@ def canonical_labels(rv: RootedView, colors: Sequence[int]) -> list[int]:
     """Canonical integer label of the colored subtree below every vertex,
     indexed by vertex.
 
-    Labels are assigned bottom-up: each vertex's key is its color together
-    with the sorted labels of its children, and every distinct key is interned
-    to the next small integer.  The intern table is shared by all vertices of
-    one call, so two of them get equal labels exactly when their rooted
-    colored subtrees are isomorphic.  UNCOLORED is a color like any other.
-    Labels from different calls are unrelated.
+    Each vertex's key is its color together with the sorted labels of its
+    children, and every distinct key is interned to a small integer, so two
+    vertices get equal labels exactly when their rooted colored subtrees
+    are isomorphic.  UNCOLORED is a color like any other.  Labels from
+    different calls are unrelated.
+
+    Only subtrees of equal height can be isomorphic, so the vertices are
+    labelled one height at a time, lowest first (Aho, Hopcroft and Ullman),
+    and the intern table holds one level's keys: it is emptied between
+    levels, and a running base keeps every label of the call distinct.
     """
-    # a leaf's key is its color alone and a single child's key holds that
-    # child's label bare; the three key shapes cannot collide, so labels are
-    # those of (color, sorted child labels) keys without building the tuple
+    adjacency, parent, heights = rv.adjacency, rv.parent, rv.heights
+    n = rv.n
+    level_of = heights.__getitem__
     table: dict[int | tuple[int, int] | tuple[int, tuple[int, ...]], int] = {}
-    children = rv.children
-    labels = [0] * rv.n
+    labels = [-1] * (n + 1)
     label_of = labels.__getitem__
-    for u in reversed(rv.order):
-        below = children[u]
-        if not below:
-            key = colors[u]
-        elif len(below) == 1:
-            key = (colors[u], labels[below[0]])
+    # a leaf's key is its color; the leaves, half the vertices of a random
+    # tree, are labelled as they are met and kept out of the sort
+    internal = []
+    for u in rv.order:
+        if heights[u]:
+            internal.append(u)
         else:
-            key = (colors[u], tuple(sorted(map(label_of, below))))
-        labels[u] = table.setdefault(key, len(table))
+            labels[u] = table.setdefault(colors[u], len(table))
+    internal.sort(key=level_of)
+    base = len(table)
+    # a vertex is labelled before its parent, whose slot still reads -1, so
+    # a key is read off the neighbours: one child's key is the child's label
+    # bare, and any other holds the -1 once, which no label equals.  A root
+    # has no parent: it reads the -1 from slot n, which stays -1, and skips
+    # the other root
+    for _, level in groupby(internal, level_of):
+        table.clear()
+        for u in level:
+            nbrs = adjacency[u]
+            if parent[u] is None:
+                nbrs = (n, *rv.children_of(u))
+            if len(nbrs) == 2:
+                a, b = nbrs
+                key = (colors[u], labels[a] + labels[b] + 1)
+            else:
+                key = (colors[u], tuple(sorted(map(label_of, nbrs))))
+            labels[u] = table.setdefault(key, base + len(table))
+        base += len(table)
+    labels.pop()
     return labels
 
 
@@ -128,7 +153,7 @@ def _byte_codes(
             tag = b""
         else:
             tag = (num_colors if colors[u] == UNCOLORED else colors[u]).to_bytes(4, "big")
-        codes[u] = b"(" + tag + b"".join(sorted(codes[w] for w in rv.children[u])) + b")"
+        codes[u] = b"(" + tag + b"".join(sorted(codes[w] for w in rv.children_of(u))) + b")"
     return codes
 
 
@@ -207,22 +232,30 @@ def _fixed(rv: RootedView, labels: Sequence[int]) -> list[bool]:
     if len(roots) == 1 or labels[roots[0]] != labels[roots[1]]:
         for r in roots:
             fixed[r] = True
-    children = rv.children
+    adjacency, parent, heights = rv.adjacency, rv.parent, rv.heights
+    # a fixed vertex's neighbours are its children and its parent, which is
+    # fixed already and whose label no child shares, as its subtree is
+    # larger: the parent is only marked fixed again.  A root's neighbours
+    # are its children, and at an edge center the other root.  A leaf has
+    # nothing to mark
     for u in rv.order:
-        if not fixed[u]:
+        if not fixed[u] or not heights[u]:
             continue
-        below = children[u]
-        if len(below) == 1:
-            fixed[below[0]] = True
-        elif below:
-            labs = list(map(labels.__getitem__, below))
-            if len(set(labs)) == len(labs):
-                for w in below:
-                    fixed[w] = True
-            else:
-                tally = Counter(labs)
-                for w, label in zip(below, labs):
-                    fixed[w] = tally[label] == 1
+        nbrs = adjacency[u]
+        if parent[u] is None:
+            nbrs = rv.children_of(u)
+        elif len(nbrs) == 2:
+            a, b = nbrs
+            fixed[a] = fixed[b] = True
+            continue
+        labs = list(map(labels.__getitem__, nbrs))
+        if len(set(labs)) == len(labs):
+            for w in nbrs:
+                fixed[w] = True
+        else:
+            tally = Counter(labs)
+            for w, label in zip(nbrs, labs):
+                fixed[w] = tally[label] == 1
     return fixed
 
 
@@ -251,18 +284,24 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
     # the count is the product, over sibling classes of equal label, of
     # (class size)!: each position within a run of the sorted child labels
     # is one factor; factors are tallied and multiplied once at the end, so
-    # no big integer is regrown per class
+    # no big integer is regrown per class.  A vertex's neighbours are its
+    # children and its parent, whose label no child shares, so the parent
+    # starts no run; a root's children skip the other root of an edge center
     factors: Counter[int] = Counter()
-    for below in rv.children:
-        if len(below) > 1:
-            run = sorted(map(labels.__getitem__, below))
-            size = 1
-            for a, b in zip(run, run[1:]):
-                if a == b:
-                    size += 1
-                    factors[size] += 1
-                else:
-                    size = 1
+    adjacency, parent = rv.adjacency, rv.parent
+    for u, nbrs in enumerate(adjacency):
+        if parent[u] is None:
+            nbrs = rv.children_of(u)
+        elif len(nbrs) < 3:
+            continue
+        run = sorted(map(labels.__getitem__, nbrs))
+        size = 1
+        for a, b in zip(run, run[1:]):
+            if a == b:
+                size += 1
+                factors[size] += 1
+            else:
+                size = 1
 
     swap = len(rv.roots) == 2 and not fixed[rv.roots[0]]
     if swap:
@@ -275,7 +314,9 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
     # their parents do and their labels coincide, which a table keyed by
     # (parent's orbit, label) finds; a fixed parent's orbit is the parent
     # alone, so its children are grouped among themselves.  An orbit is
-    # complete before its vertices are visited as parents.
+    # complete before its vertices are visited as parents.  A vertex's
+    # children are the neighbours it finds with no orbit yet: its parent
+    # and the other root of an edge center have theirs.
     orbit = [-1] * tree.n
     if swap:
         orbit[rv.roots[0]] = orbit[rv.roots[1]] = 0
@@ -284,10 +325,11 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
             orbit[r] = i
     count = 1 if swap else len(rv.roots)  # the next orbit id
     shared: dict[tuple[int, int], int] = {}
-    children = rv.children
     for u in rv.order:
         o = orbit[u]
-        for w in children[u]:
+        for w in adjacency[u]:
+            if orbit[w] >= 0:
+                continue
             if fixed[w]:
                 x = count
                 count += 1
@@ -404,7 +446,7 @@ def _shape_classes(rv: RootedView, shape: list[int]) -> dict[int, list[tuple[int
     classes: dict[int, list[tuple[int, int]]] = {}
     for u in reversed(rv.order):
         if shape[u] not in classes:
-            classes[shape[u]] = list(Counter(map(shape.__getitem__, rv.children[u])).items())
+            classes[shape[u]] = list(Counter(map(shape.__getitem__, rv.children_of(u))).items())
     return classes
 
 
@@ -446,18 +488,21 @@ def distinguishing_number(tree: Tree, max_colors: int) -> int:
     if max_colors < 1:
         raise BadParams("max_colors must be >= 1")
     rv = tree.centered
-    shape = canonical_labels(rv, [0] * tree.n)
+    shape = canonical_labels(rv, bytes(tree.n))
     classes = _shape_classes(rv, shape)
+    # the counting passes read only the roots' shapes
+    tops = [shape[r] for r in rv.roots]
+    del shape
     cap = tree.n + 2
 
     def distinguishes(d: int) -> bool:
         counts = _distinguishing_class_counts(classes, d, cap)
-        if len(rv.roots) == 1:
-            return counts[shape[rv.roots[0]]] >= 1
-        a, b = rv.roots
-        if shape[a] == shape[b]:
-            return counts[shape[a]] >= 2
-        return counts[shape[a]] >= 1 and counts[shape[b]] >= 1
+        if len(tops) == 1:
+            return counts[tops[0]] >= 1
+        a, b = tops
+        if a == b:
+            return counts[a] >= 2
+        return counts[a] >= 1 and counts[b] >= 1
 
     # invariant: no distinguishing coloring with `fails` colors; `hi` is the
     # next candidate

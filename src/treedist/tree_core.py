@@ -1,12 +1,13 @@
 """Tree representation and the structural queries everything else consumes.
 
 Trees are immutable: vertices are exactly 0..n-1, adjacency lists are sorted
-tuples.  A RootedView adds parent/depth/children indexing from one root (or
-from the two endpoints of an edge center, each rooting its own half) and is
-likewise immutable, so both types are safe to share across threads.  Every
-Tree carries its center-rooted view, Tree.centered, built on first use and
-then shared by all callers; the view is a deterministic function of the
-tree, so building it twice yields equal views and sharing stays safe.
+tuples.  A RootedView adds parent, order, heights and depth indexing from one
+root (or from the two endpoints of an edge center, each rooting its own
+half), reads children off the tree's adjacency, and is likewise immutable,
+so both types are safe to share across threads.  Every Tree carries its
+center-rooted view, Tree.centered, built on first use and then shared by
+all callers; the view is a deterministic function of the tree, so building
+it twice yields equal views and sharing stays safe.
 RootedView.heights holds each vertex's subtree height, the integer that
 callers compare with the fixing threshold fix_radius.
 
@@ -365,30 +366,34 @@ def center(tree: Tree) -> tuple[int, ...]:
 
 
 class RootedView:
-    """A Tree indexed from its root(s): parent, depth, children, heights.
+    """A Tree indexed from its root(s): adjacency, parent, order, heights,
+    and depth on demand.
 
     With an edge center both endpoints sit at depth 0, the edge between
     them carries no parent/child relation, and each endpoint roots its own
-    half.  Children lists are ascending by vertex id; every traversal in the
-    library derives its determinism from that ordering.  heights[u] is the
-    greatest distance from u to a leaf of its own subtree, 0 at leaves.
+    half.  The view keeps no children: u's children are the neighbours w
+    in adjacency[u] with parent[w] == u, which leaves out u's parent and,
+    at an edge center, the other root.  adjacency is the tree's own tuple,
+    so they come out ascending by vertex id; every traversal in the library
+    derives its determinism from that ordering.  heights[u] is the greatest
+    distance from u to a leaf of its own subtree, 0 exactly when u has no
+    children.
 
     One breadth-first loop builds every view, and one bottom-up pass its
     heights.  The roots must be one vertex or the two ends of an edge: the
-    loop follows edges only.  A view keeps its tree's vertex count n, not
-    the tree, so Tree.centered forms no reference cycle and reference
-    counting frees a tree and its view as soon as the last caller drops it.
+    loop follows edges only.  A view keeps its tree's vertex count n and
+    adjacency tuple, not the tree, so Tree.centered forms no reference
+    cycle and reference counting frees a tree and its view as soon as the
+    last caller drops it.
     """
 
     def __init__(self, tree: Tree, roots: tuple[int, ...]):
         self.n = n = tree.n
         self.roots = ends = tuple(sorted(roots))
-        adjacency = tree.adjacency
+        self.adjacency = adjacency = tree.adjacency
         if len(ends) not in (1, 2) or len(ends) == 2 and ends[1] not in adjacency[ends[0]]:
             raise BadParams(f"roots {tuple(roots)} are neither one vertex nor the two ends of an edge")
         parent: list[int | None] = [None] * n
-        # every leaf shares the one empty tuple
-        children: list[tuple[int, ...]] = [()] * n
         # breadth-first: order doubles as the queue; a vertex's children are
         # its neighbours but its parent, and each child's parent is set as it
         # is enqueued.  Each end of a central edge starts with the other as
@@ -405,7 +410,6 @@ class RootedView:
                     continue
                 i = nbrs.index(p)
                 nbrs = nbrs[:i] + nbrs[i + 1 :]
-            children[u] = nbrs
             for w in nbrs:
                 parent[w] = u
             order.extend(nbrs)
@@ -419,8 +423,6 @@ class RootedView:
         # one list at a time becomes its tuple and is dropped
         self.parent = tuple(parent)
         del parent
-        self.children = tuple(children)
-        del children
         self.order = tuple(order)
         del order
         self.heights = tuple(heights)
@@ -435,15 +437,21 @@ class RootedView:
             depth[u] = depth[parent[u]] + 1
         return tuple(depth)
 
+    def children_of(self, u: int) -> list[int]:
+        """u's children, ascending, made afresh on each call: the view
+        keeps no list of them."""
+        parent = self.parent
+        return [w for w in self.adjacency[u] if parent[w] == u]
+
     def subtree(self, u: int) -> list[int]:
         """u together with all of its descendants, in preorder."""
         _check_vertex(u, self.n)
-        out = [u]
-        stack = list(reversed(self.children[u]))
+        out = []
+        stack = [u]
         while stack:
-            w = stack.pop()
-            out.append(w)
-            stack.extend(reversed(self.children[w]))
+            x = stack.pop()
+            out.append(x)
+            stack.extend(reversed(self.children_of(x)))
         return out
 
 

@@ -180,12 +180,14 @@ def run_random_campaign(
     which is (seed, property) order: the failures need no sort."""
     if trials < 1 or n_max < 1 or k_max < 2:
         raise BadParams("need trials >= 1, n_max >= 1, k_max >= 2")
+    if jobs < 1:
+        raise BadParams(f"need jobs >= 1, got {jobs}")
     # imported before the pool forks its workers, so no worker compiles it
     from . import coloring  # noqa: F401
 
     # more workers than trials or cores only costs process start-ups
     workers = min(jobs, trials, os.cpu_count() or 1)
-    work = [(seed, r, n_max, k_max) for r in _trial_ranges(trials, 4 * max(workers, 1))]
+    work = [(seed, r, n_max, k_max) for r in _trial_ranges(trials, 4 * workers)]
     if workers > 1:
         # imported here: the pool costs every other run its import time
         from concurrent.futures import ProcessPoolExecutor

@@ -348,6 +348,16 @@ def spider_tree(legs: int, length: int) -> Tree:
     return tree_from_edges(edges, n=1 + legs * length)
 
 
+def view_children(rv) -> tuple[tuple[int, ...], ...]:
+    """Each vertex's children in rv, as the ascending tuples a RootedView
+    once kept: every vertex but a root listed under its parent."""
+    children: list[list[int]] = [[] for _ in range(rv.n)]
+    for v, p in enumerate(rv.parent):
+        if p is not None:
+            children[p].append(v)
+    return tuple(map(tuple, children))
+
+
 def reference_view_fields(tree: Tree, roots: tuple[int, ...]) -> dict:
     """The fields of RootedView(tree, roots) as first computed: a deque BFS
     that skips the edge between two roots explicitly, and heights as the
@@ -402,10 +412,11 @@ def reference_orbits(rv, labels: list[int]) -> tuple[int, ...]:
             orbit[r] = len(sizes)
             sizes.append(1)
     shared: dict[tuple[int, int], int] = {}
+    children = view_children(rv)
     for u in rv.order:
         o = orbit[u]
         groups = shared if sizes[o] > 1 else {}
-        for w in rv.children[u]:
+        for w in children[u]:
             key = (o, labels[w])
             x = groups.get(key)
             if x is None:
@@ -565,11 +576,12 @@ def reference_class_counts(rv, shape: list[int], d: int, cap: int) -> dict[int, 
     `cap`, as first written: a walk over every vertex that rebuilds each
     shape's child multiplicities on every pass."""
     counts: dict[int, int] = {}
+    children = view_children(rv)
     for u in reversed(rv.order):
         if shape[u] in counts:
             continue
         mult: dict[int, int] = {}
-        for w in rv.children[u]:
+        for w in children[u]:
             mult[shape[w]] = mult.get(shape[w], 0) + 1
         total = d
         for label, m in mult.items():

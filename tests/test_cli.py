@@ -450,6 +450,11 @@ class TestCampaign:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exit2(self, capsys, jobs):
+        code, out, err = run(capsys, "campaign", "--trials", "3", "--jobs", jobs)
+        assert (code, out, err) == (2, "", f"error: need jobs >= 1, got {jobs}\n")
+
     def test_jobs2_prints_jobs1_payload(self, capsys):
         args = ["campaign", "--trials", "16", "--n-max", "14", "--k-max", "5", "--seed", "11"]
         code1, out1, _ = run(capsys, *args, "--jobs", "1")

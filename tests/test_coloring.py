@@ -292,9 +292,10 @@ class TestColorTreeMain:
                 assert max(len(g) for g in trace.line_groups) <= bound
             rv = root_at(t, center(t))
             radius = reference_radius(c, kv)
+            children = helpers.view_children(rv)
             for p in range(t.n):
                 counts = {}
-                for x in rv.children[p]:
+                for x in children[p]:
                     if radius.admits(rv.heights[x]):
                         counts[coloring.colors[x]] = counts.get(coloring.colors[x], 0) + 1
                 assert all(v <= bound for v in counts.values()), (p, counts)
@@ -366,25 +367,25 @@ class TestStepFourVariants:
         coloring, trace = color_tree(t, 2)
         tags = self._tags(trace)
         assert tags["step4_case1"] == 10  # 2 lines: y, chain vertex, 3 branch members
-        rv = root_at(t, center(t))
+        children = helpers.view_children(root_at(t, center(t)))
         for group in trace.line_groups:
             for line in group:
-                off = [x for x in rv.children[line[1]] if x != line[2]]
+                off = [x for x in children[line[1]] if x != line[2]]
                 (y,) = off
-                branch = rv.children[rv.children[y][0]]
+                branch = children[children[y][0]]
                 assert all(coloring.colors[b] == 1 for b in branch)
         self._assert_guarantee(t, 2, coloring)
 
     def test_two_color_wide_branching_balanced(self):
         t = _three_arm_tree(branch_size=4)
         coloring, trace = color_tree(t, 2)
-        rv = root_at(t, center(t))
+        children = helpers.view_children(root_at(t, center(t)))
         found = 0
         for group in trace.line_groups:
             for line in group:
-                off = [x for x in rv.children[line[1]] if x != line[2]]
+                off = [x for x in children[line[1]] if x != line[2]]
                 (y,) = off
-                branch = rv.children[rv.children[y][0]]
+                branch = children[children[y][0]]
                 assert [coloring.colors[b] for b in branch] == [0, 1, 0, 1]
                 found += 1
         assert found == 2
@@ -420,12 +421,12 @@ class TestStepFourVariants:
         t = tree_from_edges(edges, n=nxt)
         assert max_valence(t) == 5
         coloring, trace = color_tree(t, 3)
-        rv = root_at(t, center(t))
+        children = helpers.view_children(root_at(t, center(t)))
         assert trace.line_groups
         shifts = 0
         for line in trace.main_lines:
             anchor, on_line = line[0], line[1]
-            for x in rv.children[anchor]:
+            for x in children[anchor]:
                 if x != on_line:
                     assert coloring.colors[x] == (coloring.colors[on_line] + 1) % 3
                     shifts += 1

@@ -192,6 +192,14 @@ class TestPeakMemory:
         _, peak, kept = helpers.traced_peak(lambda: root_at(tree, loc))
         assert peak < 1.4 * kept, (peak, kept)
 
+    def test_centered_path_smaller_than_its_tree(self):
+        # the view once kept a child tuple per vertex, 1.10 times the
+        # tree's own bytes on a path; with the tree's adjacency in place of
+        # the children it keeps parent, order and heights, about 0.54
+        t, _, tree_bytes = helpers.traced_peak(lambda: helpers.path_tree(20000))
+        _, _, kept = helpers.traced_peak(lambda: t.centered)
+        assert kept < 0.7 * tree_bytes, (kept, tree_bytes)
+
 
 class TestMaxValence:
     def test_star_center(self):
@@ -251,7 +259,8 @@ class TestRootAt:
         assert rv.depth == (1, 0, 0, 1)
         # the center edge carries no parent/child relation
         assert rv.parent[1] is None and rv.parent[2] is None
-        assert 2 not in rv.children[1] and 1 not in rv.children[2]
+        children = helpers.view_children(rv)
+        assert 2 not in children[1] and 1 not in children[2]
 
     def test_out_of_range(self):
         with pytest.raises(BadParams, match=r"^vertex 7 not in 0\.\.2$"):
@@ -268,10 +277,12 @@ class TestRootAt:
         for seed in range(20):
             t = random_tree(18, 5, seed)
             rv = root_at(t, center(t))
-            seen = [v for u in range(t.n) for v in rv.children[u]]
+            children = [rv.children_of(u) for u in range(t.n)]
+            seen = [v for u in range(t.n) for v in children[u]]
             assert sorted(seen) == sorted(set(range(t.n)) - set(rv.roots))
             for u in range(t.n):
-                for v in rv.children[u]:
+                assert children[u] == sorted(children[u])
+                for v in children[u]:
                     assert rv.parent[v] == u
 
     def test_depth_is_bfs_distance(self):
@@ -284,7 +295,14 @@ class TestRootAt:
                 assert rv.depth[v] == min(d[v] for d in dists)
 
 
-VIEW_FIELDS = ("roots", "parent", "depth", "children", "order", "heights")
+VIEW_FIELDS = ("roots", "parent", "depth", "order", "heights")
+
+
+def _view_fields(rv) -> dict:
+    """The view's fields, with each vertex's children as the view once
+    kept them; the view itself keeps the tree's adjacency instead."""
+    assert not hasattr(rv, "children")
+    return {name: getattr(rv, name) for name in VIEW_FIELDS} | {"children": helpers.view_children(rv)}
 
 
 class TestCentered:
@@ -295,8 +313,8 @@ class TestCentered:
     def _assert_fresh_view(t):
         fresh = root_at(t, center(t))
         assert t.centered.n == t.n
-        for name in VIEW_FIELDS:
-            assert getattr(t.centered, name) == getattr(fresh, name), name
+        assert t.centered.adjacency is t.adjacency
+        assert _view_fields(t.centered) == _view_fields(fresh)
 
     @settings(max_examples=120, deadline=None)
     @given(n=st.integers(1, 40), k=st.integers(2, 6), seed=st.integers(0, 10**6))
@@ -649,7 +667,7 @@ class TestAgainstReference:
         # validated the tree (or, built directly, from the one center()
         # runs); every view computes its heights in a bottom-up pass
         expected = helpers.reference_view_fields(t, helpers.reference_center(t))
-        assert {name: getattr(t.centered, name) for name in VIEW_FIELDS} == expected
+        assert _view_fields(t.centered) == expected
         if kind == "center":
             roots = center(t)
         elif kind == "vertex" or n == 1:
@@ -658,7 +676,7 @@ class TestAgainstReference:
             u, v = helpers.edges(t)[pick % (n - 1)]
             roots = (v, u)
         rv = RootedView(t, roots)
-        assert {name: getattr(rv, name) for name in VIEW_FIELDS} == helpers.reference_view_fields(t, roots)
+        assert _view_fields(rv) == helpers.reference_view_fields(t, roots)
 
 
     @pytest.mark.parametrize("source", SOURCES)
@@ -667,7 +685,7 @@ class TestAgainstReference:
         t = _rebuilt(NAMED_TREES[name](), source)
         assert center(t) == helpers.reference_center(t)
         expected = helpers.reference_view_fields(t, helpers.reference_center(t))
-        assert {field: getattr(t.centered, field) for field in VIEW_FIELDS} == expected
+        assert _view_fields(t.centered) == expected
 
 
 class TestSubtree:
@@ -697,7 +715,7 @@ class TestSubtreeHeight:
     def test_complete_tree_child_of_root(self):
         t = helpers.complete_tree(3, 3)
         rv = root_at(t, center(t))
-        child = rv.children[rv.roots[0]][0]
+        child = helpers.view_children(rv)[rv.roots[0]][0]
         # independent oracle: deepest leaf of the subtree by plain BFS
         dist = helpers.bfs_dist(t, child)
         sub = set(rv.subtree(child))
@@ -712,7 +730,7 @@ class TestSubtreeHeight:
             for u in range(t.n):
                 sub = rv.subtree(u)
                 dist = helpers.bfs_dist(t, u)
-                childless = [w for w in sub if not rv.children[w]]
+                childless = [w for w in sub if not helpers.view_children(rv)[w]]
                 assert rv.heights[u] == max(dist[w] for w in childless)
 
 

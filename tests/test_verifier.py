@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 
 import pytest
 
@@ -257,9 +258,28 @@ class TestRunRandomCampaign:
         _, large, _ = helpers.traced_peak(lambda: run_random_campaign(8000, 12, 5, 1))
         assert large <= 1.2 * small, (small, large)
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="the patched check reaches workers only by fork"
+    )
+    def test_failures_joined_in_order_across_workers(self, monkeypatch):
+        # the patch is made before the pool forks, so every worker fails its
+        # checks too: the ranges the workers return, joined unsorted, must
+        # give the in-process list, trial by trial
+        monkeypatch.setattr(verifier, "fixed_vertices", lambda tree, coloring: [False] * tree.n)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        serial = run_random_campaign(trials=40, n_max=12, k_max=5, seed=3, jobs=1)
+        parallel = run_random_campaign(trials=40, n_max=12, k_max=5, seed=3, jobs=2)
+        assert len(serial.failures) > 40
+        assert parallel.failures == serial.failures
+
     def test_bad_params(self):
         with pytest.raises(BadParams, match="^need trials >= 1, n_max >= 1, k_max >= 2$"):
             run_random_campaign(0, 10, 4, 1)
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one(self, jobs):
+        with pytest.raises(BadParams, match=f"^need jobs >= 1, got {jobs}$"):
+            run_random_campaign(3, 10, 4, 1, jobs=jobs)
 
     def test_no_size_cap(self):
         report = run_random_campaign(1, 1000, 4, 1)
