@@ -18,19 +18,21 @@ processed in parallel without coordination.  fixed_vertices decides which
 vertices every color-preserving automorphism fixes, from canonical labels
 and one top-down pass; that is all the guarantee checks read.  fix_report
 builds on the same pass and adds the orbits and the exact automorphism
-count; enumerate_automorphisms is a deliberately separate search path that
-lists explicit permutations, so the two can be checked against each other.  It
-re-verifies the permutations it finds a batch at a time, with one set test
-per vertex and per edge across the whole batch, and raises AssertionError
-on one that fails, which only a wrong search can produce.
+count, a product over orbits; enumerate_automorphisms is a deliberately
+separate search path that lists explicit permutations, so the two can be
+checked against each other.  It re-verifies the permutations it finds a
+batch at a time, with one set test per vertex and per edge across the whole
+batch, and raises AssertionError on one that fails, which only a wrong
+search can produce.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from itertools import groupby
+from itertools import chain, compress, groupby
 
 from .errors import BadFormat, BadParams, BudgetExceeded
 from .tree_core import Record, RootedView, Tree
@@ -274,39 +276,13 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
     The tree is rooted at its center.  With an edge center the two halves may
     additionally be swapped when their colored canonical labels coincide; that
     swap merges the matched orbits and doubles the count.  The fixed set is
-    the one fixed_vertices computes.
+    the one fixed_vertices computes.  The count is a product over orbits:
+    (m!)^p for each orbit below an orbit of p vertices, m children apiece.
     """
     _require_total(tree, coloring)
     rv = tree.centered
     labels = canonical_labels(rv, coloring.colors)
     fixed = _fixed(rv, labels)
-
-    # the count is the product, over sibling classes of equal label, of
-    # (class size)!: each position within a run of the sorted child labels
-    # is one factor; factors are tallied and multiplied once at the end, so
-    # no big integer is regrown per class.  A vertex's neighbours are its
-    # children and its parent, whose label no child shares, so the parent
-    # starts no run; a root's children skip the other root of an edge center
-    factors: Counter[int] = Counter()
-    adjacency, parent = rv.adjacency, rv.parent
-    for u, nbrs in enumerate(adjacency):
-        if parent[u] is None:
-            nbrs = rv.children_of(u)
-        elif len(nbrs) < 3:
-            continue
-        run = sorted(map(labels.__getitem__, nbrs))
-        size = 1
-        for a, b in zip(run, run[1:]):
-            if a == b:
-                size += 1
-                factors[size] += 1
-            else:
-                size = 1
-
-    swap = len(rv.roots) == 2 and not fixed[rv.roots[0]]
-    if swap:
-        factors[2] += 1
-    aut = math.prod(f**e for f, e in factors.items())
 
     # orbits are numbered in breadth-first order of their first vertex, which
     # is rv.order: the roots, then each parent's children in turn.  A fixed
@@ -316,18 +292,16 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
     # alone, so its children are grouped among themselves.  An orbit is
     # complete before its vertices are visited as parents.  A vertex's
     # children are the neighbours it finds with no orbit yet: its parent
-    # and the other root of an edge center have theirs.
+    # and the other root of an edge center have theirs.  The roots are the
+    # children of a virtual orbit -1, so the two halves a swap exchanges
+    # share their orbits
     orbit = [-1] * tree.n
-    if swap:
-        orbit[rv.roots[0]] = orbit[rv.roots[1]] = 0
-    else:
-        for i, r in enumerate(rv.roots):
-            orbit[r] = i
-    count = 1 if swap else len(rv.roots)  # the next orbit id
+    count = 0  # the next orbit id
     shared: dict[tuple[int, int], int] = {}
-    for u in rv.order:
-        o = orbit[u]
-        for w in adjacency[u]:
+    adjacency = rv.adjacency
+    for u in chain((None,), rv.order):
+        o, nbrs = (-1, rv.roots) if u is None else (orbit[u], adjacency[u])
+        for w in nbrs:
             if orbit[w] >= 0:
                 continue
             if fixed[w]:
@@ -340,6 +314,18 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
                     shared[key] = x = count
                     count += 1
             orbit[w] = x
+
+    # each of the p vertices of orbit o has m = size[x] / p children in the
+    # shared orbit x, which an automorphism fixing it permutes freely: (m!)^p.
+    # A fixed orbit and the virtual one have one vertex.  Exponents are
+    # tallied per m, so no big integer is regrown per orbit
+    size = Counter(compress(orbit, map(operator.not_, fixed)))
+    exponents: Counter[int] = Counter()
+    for (o, _), x in shared.items():
+        p = size.get(o, 1)
+        exponents[size[x] // p] += p
+    aut = math.prod(math.factorial(m) ** e for m, e in exponents.items())
+    del size, shared  # before the report's tuples, which set the peak
 
     return FixReport(orbit=tuple(orbit), fixed=tuple(fixed), aut_count=aut)
 

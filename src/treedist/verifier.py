@@ -121,42 +121,25 @@ def _one_trial(tree: Tree, k: int, c: int, prop: str, witness: dict | None) -> C
     return CampaignReport(trials=1, failures=failures)
 
 
-def _campaign_trial(args: tuple[int, int, int, int]) -> tuple[int, list[Failure]]:
-    seed, index, n_max, k_max = args
-    trial_seed = seed * 1_000_003 + index
-    rng = random.Random(trial_seed)
-    n = rng.randint(1, n_max)
-    k_param = rng.randint(2, max(2, k_max))
-    tree = random_tree(n, k_param, trial_seed)
-    kv = max_valence(tree)
-    skipped = 0
-    failures: list[Failure] = []
-
-    if kv >= 2:
-        c = rng.randint(2, kv)
-        sub = verify_fixing_guarantee(tree, c)
-        for f in sub.failures:
-            failures.append(Failure(trial_seed, n, k_param, c, f.prop, f.witness))
-    else:
-        skipped += 1
-
-    sub = verify_near_distinguishing(tree)
-    skipped += sub.skipped
-    for f in sub.failures:
-        failures.append(Failure(trial_seed, n, k_param, f.c, f.prop, f.witness))
-    return skipped, failures
-
-
 def _campaign_range(args: tuple[int, range, int, int]) -> tuple[int, list[Failure]]:
-    """The trials of one index range, in order: only their skip count and
-    their failures are kept, so a call's memory does not grow with the range."""
+    """The trials of one index range, in order, with their checks' failures
+    keyed to the trial seed: only the skip count and the failures are kept,
+    so a call's memory does not grow with the range."""
     seed, indices, n_max, k_max = args
     skipped = 0
     failures: list[Failure] = []
     for index in indices:
-        s, fs = _campaign_trial((seed, index, n_max, k_max))
-        skipped += s
-        failures += fs
+        trial_seed = seed * 1_000_003 + index
+        rng = random.Random(trial_seed)
+        n = rng.randint(1, n_max)
+        k_param = rng.randint(2, max(2, k_max))
+        tree = random_tree(n, k_param, trial_seed)
+        kv = max_valence(tree)
+        # a tree of one or two vertices admits no color count
+        fixing = verify_fixing_guarantee(tree, rng.randint(2, kv)) if kv >= 2 else CampaignReport(trials=1, skipped=1)
+        near = verify_near_distinguishing(tree)
+        skipped += fixing.skipped + near.skipped
+        failures += [Failure(trial_seed, n, k_param, f.c, f.prop, f.witness) for r in (fixing, near) for f in r.failures]
     return skipped, failures
 
 

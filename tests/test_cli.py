@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import contextlib
+import decimal
 import hashlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -261,6 +263,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", tree_path, "--coloring", str(colj))
         assert code == 1
         assert json.loads(out)["failures"]
+
+    def test_report_prints_a_count_of_any_length(self, capsys, tmp_path):
+        # 2000! has 5736 digits, more than the interpreter writes or reads as
+        # text by default (4300 from 3.10.7 on): the report prints them all
+        # and leaves the cap as it was.  Decimal reads the digits uncapped
+        tree_path, colj = tmp_path / "star.tree", tmp_path / "coloring.json"
+        tree_path.write_text(format_edge_list(helpers.star_tree(2000)))
+        colj.write_text(json.dumps({"num_colors": 1, "colors": [0] * 2001}))
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "verify", str(tree_path), "--coloring", str(colj), "--report")
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_int=decimal.Decimal)
+        assert report["aut_count"] == math.factorial(2000)
+        assert report["orbit"] == [0] + [1] * 2000
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
     def test_more_colors_than_valence(self, capsys, tmp_path):
         colj = tmp_path / "coloring.json"
@@ -667,7 +684,7 @@ class TestRootsOnce:
         rooted = 0
         for index in range(200):
             built.clear()
-            skipped, failures = verifier._campaign_trial((0, index, 40, 8))
+            skipped, failures = verifier._campaign_range((0, range(index, index + 1), 40, 8))
             assert failures == []
             assert built["center"] == built["RootedView"] <= 1
             rooted += built["center"]
@@ -711,7 +728,7 @@ class TestFixReportCalls:
 
     def test_campaign_trial(self, calls):
         for index in range(200):
-            verifier._campaign_trial((0, index, 40, 8))
+            verifier._campaign_range((0, range(index, index + 1), 40, 8))
         assert calls["fix_report"] == 0
         assert calls["fixed_vertices"] > 300
 

@@ -8,7 +8,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treedist import (
@@ -158,6 +158,34 @@ def totally_colored_trees(draw, max_n=40, max_degree=6):
     return t, Coloring(c, tuple(colors))
 
 
+def joined_copies(t):
+    """Two copies of t joined at vertex 0 and its copy, so the joining edge
+    is the center."""
+    n = t.n
+    pairs = helpers.edges(t)
+    return tree_from_edges([*pairs, *((u + n, v + n) for u, v in pairs), (0, n)], n=2 * n)
+
+
+def hub_of(copies, sub):
+    """`copies` copies of sub, each vertex 0 joined to a new hub vertex 0."""
+    pairs = helpers.edges(sub)
+    starts = range(1, copies * sub.n + 1, sub.n)
+    hub = [(0, s) for s in starts]
+    return tree_from_edges([*hub, *((u + s, v + s) for s in starts for u, v in pairs)], n=copies * sub.n + 1)
+
+
+def monochrome(t):
+    return t, mono(t.n)
+
+
+def swapped_binary(depth):
+    # two equal halves colored by depth parity: each half keeps its sibling
+    # swaps, and the edge center swaps the halves
+    t = helpers.binary_tree(depth)
+    half = tuple((v + 1).bit_length() % 2 for v in range(t.n))
+    return joined_copies(t), Coloring(2, half + half)
+
+
 @st.composite
 def matched_halves(draw):
     """Two copies of a random tree joined at vertex 0 and its copy, so the
@@ -165,8 +193,7 @@ def matched_halves(draw):
     or are drawn afresh, so the halves match or (usually) differ."""
     t = random_tree(draw(st.integers(1, 12)), draw(st.integers(2, 4)), draw(st.integers(0, 10**6)))
     n = t.n
-    pairs = helpers.edges(t)
-    joined = tree_from_edges([*pairs, *((u + n, v + n) for u, v in pairs), (0, n)], n=2 * n)
+    joined = joined_copies(t)
     half = st.lists(st.integers(0, 1), min_size=n, max_size=n)
     first = draw(half)
     second = first if draw(st.booleans()) else draw(half)
@@ -225,6 +252,11 @@ class TestFixedVertices:
 class TestFixReport:
     @settings(max_examples=150, deadline=None)
     @given(case=totally_colored_trees())
+    # orbits nested below orbits, an edge-center swap, and counts of many digits
+    @example(case=monochrome(helpers.complete_tree(3, 4)))
+    @example(case=swapped_binary(3))
+    @example(case=monochrome(helpers.star_tree(2000)))
+    @example(case=monochrome(hub_of(4, helpers.binary_tree(3))))
     def test_aut_count_is_product_of_factorials(self, case):
         # siblings with equal colored labels permute freely: the group order
         # is the product of (multiplicity)! over every vertex's child labels,

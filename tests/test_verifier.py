@@ -244,15 +244,15 @@ class TestRunRandomCampaign:
         # joined unsorted, must give every trial's failures in trial order
         monkeypatch.setattr(verifier, "fixed_vertices", lambda tree, coloring: [False] * tree.n)
         report = run_random_campaign(trials=40, n_max=12, k_max=5, seed=3)
-        serial = [f for i in range(40) for f in verifier._campaign_trial((3, i, 12, 5))[1]]
+        serial = [f for i in range(40) for f in verifier._campaign_range((3, range(i, i + 1), 12, 5))[1]]
         assert len({f.prop for f in serial}) == 2
         assert report.failures == serial
         assert report.failures == sorted(serial, key=lambda f: (f.seed, f.prop))
 
     def test_traced_peak_flat_in_trials(self):
         # each range call keeps only its skip count and failures, and a
-        # trial's tree is freed when it returns: the peak must not follow
-        # the trial count
+        # trial's tree is freed once the next trial's replaces it: the peak
+        # must not follow the trial count
         run_random_campaign(1, 12, 5, 1)
         _, small, _ = helpers.traced_peak(lambda: run_random_campaign(1000, 12, 5, 1))
         _, large, _ = helpers.traced_peak(lambda: run_random_campaign(8000, 12, 5, 1))
