@@ -48,15 +48,15 @@ def read_tree(path: str) -> Tree:
     return parse_edge_list(text)
 
 
-def _dot_lines(tree: Tree, coloring: Coloring, trace: ColoringTrace | None) -> Iterator[str]:
+def _dot_lines(tree: Tree, coloring: Coloring, trace: ColoringTrace) -> Iterator[str]:
     """Graphviz rendering, one line at a time, each ending in a newline:
     vertices filled by color index (8-entry palette, cycling), main-line
-    edges drawn with penwidth 2 (none without a trace: only the main
-    algorithm makes one).  cmd_color writes the lines as they are made, so
-    the whole text is never held at once.  Every -a algorithm colors every
-    vertex, so each color indexes the palette."""
+    edges drawn with penwidth 2 (only the main algorithm's trace has any).
+    cmd_color writes the lines as they are made, so the whole text is never
+    held at once.  Every -a algorithm colors every vertex, so each color
+    indexes the palette."""
     bold = set()
-    for line in trace.main_lines if trace is not None else ():
+    for line in trace.main_lines:
         for u, v in zip(line, line[1:]):
             bold.add((min(u, v), max(u, v)))
     yield "graph tree {\n"
@@ -123,12 +123,13 @@ def _write_or_print(lines: Iterable[str], path: str | None) -> None:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
-    from .coloring import color_anchored, color_near_distinguishing, color_regular, color_spine, color_tree
+    from .coloring import ColoringTrace, color_anchored, color_near_distinguishing, color_regular
+    from .coloring import color_spine, color_tree
     from .symmetry import fixed_vertices
 
     tree = read_tree(args.tree)
     k = max_valence(tree)
-    trace = None
+    trace = ColoringTrace([])  # only the main algorithm fills one in
     if args.algorithm == "main":
         if args.colors is None:
             raise BadParams("--colors is required for the main algorithm")
@@ -153,8 +154,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     if args.coloring_out:
         _write_or_print(_json_pieces(coloring.to_json_dict()), args.coloring_out)
     if args.trace_out:
-        payload = trace.to_json_dict() if trace is not None else {"rules": [], "main_lines": []}
-        _write_or_print(_json_pieces(payload), args.trace_out)
+        _write_or_print(_json_pieces(trace.to_json_dict()), args.trace_out)
     if args.dot_out:
         _write_or_print(_dot_lines(tree, coloring, trace), args.dot_out)
 
@@ -192,8 +192,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 0
     from .verifier import verify_fixing_guarantee
 
-    c = coloring.num_colors
-    rep = verify_fixing_guarantee(tree, c, coloring=coloring)
+    rep = verify_fixing_guarantee(tree, coloring)
     print(json.dumps(rep.to_json_dict()))
     return 0 if rep.passed else 1
 

@@ -261,37 +261,19 @@ def color_tree(tree: Tree, num_colors: int) -> tuple[Coloring, ColoringTrace]:
 def _two_color_descent(rv: RootedView, v2: int, colors: list[int], rules: list[str]) -> list[list[int]]:
     """Two-color continuation below a lone off-line sibling: the chain down to
     the first branching is colored 1; a branching of 2-3 siblings is colored
-    all 1, a larger one as evenly as possible over {0, 1}."""
+    all 1, a larger one as evenly as possible over {0, 1}.  The branching,
+    if any, is returned as a new sibling set."""
     chain: list[int] = []
-    cur = v2
-    branch: list[int] | None = None
-    while True:
-        kids = rv.children_of(cur)
-        if not kids:
-            break
-        if len(kids) == 1:
-            chain.append(kids[0])
-            cur = kids[0]
-            continue
-        branch = list(kids)
-        break
-    if branch is None:
-        for x in chain:
-            colors[x] = 1
-            rules[x] = "step4_case1_no_branch"
-        return []
-    for x in chain:
-        colors[x] = 1
-        rules[x] = "step4_case1"
-    if len(branch) <= 3:
-        for x in branch:
-            colors[x] = 1
-            rules[x] = "step4_case1"
-    else:
-        for x, col in zip(branch, balanced_colors(len(branch), [0, 1])):
-            colors[x] = col
-            rules[x] = "step4_case1"
-    return [branch]
+    branch = rv.children_of(v2)
+    while len(branch) == 1:
+        chain += branch
+        branch = rv.children_of(branch[0])
+    rule = "step4_case1" if branch else "step4_case1_no_branch"
+    tail = balanced_colors(len(branch), [0, 1]) if len(branch) > 3 else [1] * len(branch)
+    for x, col in zip(chain + branch, [1] * len(chain) + tail):
+        colors[x] = col
+        rules[x] = rule
+    return [branch] if branch else []
 
 
 def _color_sibling_distinct(rv: RootedView, num_colors: int) -> Coloring:

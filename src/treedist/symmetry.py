@@ -427,12 +427,14 @@ def enumerate_automorphisms(
 def _shape_classes(rv: RootedView, shape: list[int]) -> dict[int, list[tuple[int, int]]]:
     """Each distinct shape label with its children's (shape label,
     multiplicity) pairs, in bottom-up order: every shape follows the shapes
-    of its children.  The pairs do not depend on the number of colors, so
+    of its children, and last the virtual class -1, whose children are the
+    center's roots.  The pairs do not depend on the number of colors, so
     they are built once, and each counting pass visits shapes, not vertices."""
     classes: dict[int, list[tuple[int, int]]] = {}
     for u in reversed(rv.order):
         if shape[u] not in classes:
             classes[shape[u]] = list(Counter(map(shape.__getitem__, rv.children_of(u))).items())
+    classes[-1] = list(Counter(map(shape.__getitem__, rv.roots)).items())
     return classes
 
 
@@ -463,9 +465,10 @@ def distinguishing_number(tree: Tree, max_colors: int) -> int:
     """Smallest d <= max_colors admitting a distinguishing d-coloring.
 
     Decided exactly by counting distinguishing colored-subtree classes over
-    sibling isomorphism classes, rooted at the center; an edge center needs
-    two distinct colored halves when the halves are isomorphic as shapes.
-    A distinguishing d-coloring is also one with d+1 colors, so d is found by
+    sibling isomorphism classes.  The center's roots are siblings below a
+    virtual vertex, so the two halves of an edge center that share a shape
+    need distinct colored versions, as any two such siblings do.  A
+    distinguishing d-coloring is also one with d+1 colors, so d is found by
     galloping (1, 2, 4, ... up to max_colors) and then bisecting: O(log D)
     counting passes, where a scan over d would cost D passes (D = n-1 on a
     star).  Each pass is linear in the number of distinct shapes and their
@@ -476,19 +479,11 @@ def distinguishing_number(tree: Tree, max_colors: int) -> int:
     rv = tree.centered
     shape = canonical_labels(rv, bytes(tree.n))
     classes = _shape_classes(rv, shape)
-    # the counting passes read only the roots' shapes
-    tops = [shape[r] for r in rv.roots]
     del shape
     cap = tree.n + 2
 
     def distinguishes(d: int) -> bool:
-        counts = _distinguishing_class_counts(classes, d, cap)
-        if len(tops) == 1:
-            return counts[tops[0]] >= 1
-        a, b = tops
-        if a == b:
-            return counts[a] >= 2
-        return counts[a] >= 1 and counts[b] >= 1
+        return _distinguishing_class_counts(classes, d, cap)[-1] >= 1
 
     # invariant: no distinguishing coloring with `fails` colors; `hi` is the
     # next candidate

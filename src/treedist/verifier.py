@@ -2,9 +2,11 @@
 
 Every check returns a CampaignReport whose failures are self-describing: a
 failure carries the generator arguments (seed, n, k) plus the color count, so
-it can be replayed standalone.  Trials are independent, so a campaign runs
-as contiguous ranges of trial indices, over a process pool if asked; the
-ranges are joined in index order, so failures come out sorted by seed.
+it can be replayed standalone.  A check judges the coloring it is given and
+makes none; a campaign trial makes both colorings of its tree.  Trials are
+independent, so a campaign runs as contiguous ranges of trial indices, over
+a process pool if asked; the ranges are joined in index order, so failures
+come out sorted by seed.
 The oracle is symmetry.fixed_vertices, one labelling run and one top-down
 pass, near-linear in n, so no check caps the tree size.
 Reports carry no timing, so payloads are byte-identical across runs.
@@ -66,34 +68,30 @@ class CampaignReport(Record):
         }
 
 
-def verify_fixing_guarantee(tree: Tree, num_colors: int, coloring: Coloring | None = None) -> CampaignReport:
-    """Check that every vertex meeting the distance condition is fixed.
+def verify_fixing_guarantee(tree: Tree, coloring: Coloring) -> CampaignReport:
+    """Check that the coloring fixes every vertex meeting the distance
+    condition for its own color count c = coloring.num_colors.
 
-    Runs color_tree when no coloring is supplied, then compares the
-    fixed set from fixed_vertices against the set of vertices whose subtree
-    reaches a leaf at distance >= fix_radius(num_colors, max_valence).  With
-    at least max_valence colors the radius is 0: every vertex must be fixed.
+    Compares the fixed set from fixed_vertices against the set of vertices
+    whose subtree reaches a leaf at distance >= fix_radius(c, max_valence).
+    With at least max_valence colors the radius is 0: every vertex must be
+    fixed.  color_tree(tree, c)[0] is the coloring this guarantee is for.
     """
     k = max_valence(tree)
-    if num_colors < 2:
-        raise BadParams(f"need at least 2 colors, got {num_colors}")
-    if coloring is None:
-        # imported here, so checking a given coloring, as `treedist verify`
-        # does, never loads the colorings
-        from .coloring import color_tree
-
-        coloring, _ = color_tree(tree, num_colors)
+    c = coloring.num_colors
+    if c < 2:
+        raise BadParams(f"need at least 2 colors, got {c}")
     fixed = fixed_vertices(tree, coloring)
     heights = tree.centered.heights
-    radius = fix_radius(num_colors, k)
+    radius = fix_radius(c, k)
     witnesses = [u for u in range(tree.n) if heights[u] >= radius and not fixed[u]]
     witness = {"unfixed_but_guaranteed": witnesses} if witnesses else None
-    return _one_trial(tree, k, num_colors, "fixing_guarantee", witness)
+    return _one_trial(tree, k, c, "fixing_guarantee", witness)
 
 
-def verify_near_distinguishing(tree: Tree) -> CampaignReport:
-    """Check that color_near_distinguishing leaves nothing unfixed beyond one
-    pair of leaves with a common neighbor.
+def verify_near_distinguishing(tree: Tree, coloring: Coloring) -> CampaignReport:
+    """Check that the coloring, as color_near_distinguishing(tree) makes it,
+    leaves nothing unfixed beyond one pair of leaves with a common neighbor.
 
     Trees with max valence < 3 are skipped: with k - 1 = 1 color a path of 4
     or more vertices cannot be pinned down at all, so the guarantee only
@@ -102,9 +100,6 @@ def verify_near_distinguishing(tree: Tree) -> CampaignReport:
     k = max_valence(tree)
     if k < 3:
         return CampaignReport(trials=1, skipped=1)
-    from .coloring import color_near_distinguishing
-
-    coloring = color_near_distinguishing(tree)
     unfixed = [v for v, f in enumerate(fixed_vertices(tree, coloring)) if not f]
     ok = not unfixed
     if len(unfixed) == 2:
@@ -125,6 +120,10 @@ def _campaign_range(args: tuple[int, range, int, int]) -> tuple[int, list[Failur
     """The trials of one index range, in order, with their checks' failures
     keyed to the trial seed: only the skip count and the failures are kept,
     so a call's memory does not grow with the range."""
+    # imported here, so `treedist verify`, which checks a given coloring,
+    # never loads the colorings
+    from .coloring import color_near_distinguishing, color_tree
+
     seed, indices, n_max, k_max = args
     skipped = 0
     failures: list[Failure] = []
@@ -135,9 +134,12 @@ def _campaign_range(args: tuple[int, range, int, int]) -> tuple[int, list[Failur
         k_param = rng.randint(2, max(2, k_max))
         tree = random_tree(n, k_param, trial_seed)
         kv = max_valence(tree)
-        # a tree of one or two vertices admits no color count
-        fixing = verify_fixing_guarantee(tree, rng.randint(2, kv)) if kv >= 2 else CampaignReport(trials=1, skipped=1)
-        near = verify_near_distinguishing(tree)
+        # a tree of one or two vertices admits no color count, and one of
+        # max valence < 3 has no near-distinguishing guarantee: no coloring
+        # is made for a check that skips it
+        skip = CampaignReport(trials=1, skipped=1)
+        fixing = verify_fixing_guarantee(tree, color_tree(tree, rng.randint(2, kv))[0]) if kv >= 2 else skip
+        near = verify_near_distinguishing(tree, color_near_distinguishing(tree)) if kv >= 3 else skip
         skipped += fixing.skipped + near.skipped
         failures += [Failure(trial_seed, n, k_param, f.c, f.prop, f.witness) for r in (fixing, near) for f in r.failures]
     return skipped, failures

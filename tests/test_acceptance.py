@@ -12,6 +12,7 @@ import time
 from treedist import (
     Coloring,
     color_anchored,
+    color_near_distinguishing,
     color_regular,
     color_spine,
     color_tree,
@@ -82,7 +83,7 @@ def test_criterion_03_main_guarantee_campaign():
         t = random_tree(n, k_param, seed=rng.randrange(2**32))
         kv = max_valence(t)
         for c in range(2, kv + 1):
-            report = verify_fixing_guarantee(t, c)
+            report = verify_fixing_guarantee(t, color_tree(t, c)[0])
             checks += 1
             if not report.passed:
                 failures.append((trial, n, k_param, c, report.failures))
@@ -112,7 +113,7 @@ def test_criterion_05_near_distinguishing_campaign():
         n = rng.randint(2, 20)
         k_param = rng.randint(3, 6)
         t = random_tree(n, k_param, seed=rng.randrange(2**32))
-        report = verify_near_distinguishing(t)
+        report = verify_near_distinguishing(t, color_near_distinguishing(t))
         if report.skipped:
             skipped += 1  # max valence < 3: the k-1 = 1 color guarantee does not exist
             continue

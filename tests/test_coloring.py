@@ -498,7 +498,8 @@ class TestSymmetricFamilies:
 
         for k in (3, 4, 5):
             for depth in (1, 2, 3):
-                assert verify_near_distinguishing(helpers.complete_tree(k, depth)).passed
+                t = helpers.complete_tree(k, depth)
+                assert verify_near_distinguishing(t, color_near_distinguishing(t)).passed
 
 
 class TestColorAnchored:

@@ -601,7 +601,8 @@ class TestBatchedEnumeration:
     @settings(max_examples=150, deadline=None)
     @given(case=totally_colored_trees(max_n=14, max_degree=4))
     def test_matches_networkx(self, case):
-        # the brute force in tests/helpers.py stops at n = 8; VF2 reaches 14
+        # the brute force in tests/helpers.py stops at n = 8; VF2 reaches 14,
+        # and checks fix_report's count and orbits there as well
         nx = pytest.importorskip("networkx")
         from networkx.algorithms.isomorphism import GraphMatcher
 
@@ -612,6 +613,14 @@ class TestBatchedEnumeration:
         matcher = GraphMatcher(g, g, node_match=lambda a, b: a["color"] == b["color"])
         expected = sorted(tuple(m[v] for v in range(t.n)) for m in matcher.isomorphisms_iter())
         assert enumerate_automorphisms(t, coloring) == expected
+        report = fix_report(t, coloring)
+        assert report.aut_count == len(expected)
+        # the orbit of v under the whole group is the set of its images
+        generated = {frozenset(a[v] for a in expected) for v in range(t.n)}
+        reported: dict[int, set[int]] = {}
+        for v, o in enumerate(report.orbit):
+            reported.setdefault(o, set()).add(v)
+        assert generated == set(map(frozenset, reported.values()))
 
 
 class TestOracleEquivalence:
@@ -731,7 +740,7 @@ def _hub(copies: int, sub):
 
 
 #: Digests (sha256 prefix) of the coloring and trace JSON that color_tree
-#: produced for every fixture, plus four generated trees on which main lines
+#: produced for every fixture, plus five generated trees on which main lines
 #: fire, at every c from 2 to the max valence.  Recorded with the byte-code
 #: labelling, before the switch to interned labels, which must not change a
 #: single output byte.
@@ -786,6 +795,13 @@ GOLDEN_COLOR_TREE = {
     ("random_300_k6", 4): ("982f61a3ae24613b", "a3c3f19fef3cd381"),
     ("random_300_k6", 5): ("3cfedb1452a0995b", "5118d70f993cbb8f"),
     ("random_300_k6", 6): ("0a6ae26afe9be539", "a56f9e17b212f99e"),
+    # at c = 2 the two-color descent below a lone off-line sibling reaches a
+    # branching of 4 siblings 4 times and a leaf without branching 4 times;
+    # recorded before the descent was folded into one coloring loop
+    ("hub4_random16", 2): ("e80d50a73bdabb2b", "1974890610aff4f7"),
+    ("hub4_random16", 3): ("daa4efc14cd5f644", "207304df83d25bd1"),
+    ("hub4_random16", 4): ("53a15743b2c45688", "f7a1671a7709538e"),
+    ("hub4_random16", 5): ("b4ecfb773a505a27", "5a162bfd4e85747a"),
 }
 
 
@@ -844,6 +860,10 @@ GOLDEN_FIX_AND_DOT = {
     ("random_300_k6", 4): ("bf359ee6a8e80aa5", "bca1430933d64ec0"),
     ("random_300_k6", 5): ("eeb7a851bc13e17d", "2b3a4ebf36c5fdfe"),
     ("random_300_k6", 6): ("eeb7a851bc13e17d", "53337dacc32d45bb"),
+    ("hub4_random16", 2): ("4839dbb68e4329cd", "f49671ae993ff27a"),
+    ("hub4_random16", 3): ("9012cffddb045ac0", "c2be3665e3312a6f"),
+    ("hub4_random16", 4): ("ff2015c15d9ef7b0", "0f0e678d93675a03"),
+    ("hub4_random16", 5): ("ff2015c15d9ef7b0", "0f0e678d93675a03"),
 }
 
 
@@ -856,6 +876,7 @@ def _golden_tree(name: str):
         "spider_8x6": lambda: _spider(8, 6),
         "complete_1_7_depth3": lambda: helpers.complete_tree(7, 3),
         "hub4_binary4": lambda: _hub(4, helpers.complete_tree(3, 4)),
+        "hub4_random16": lambda: _hub(4, random_tree(16, 6, 101)),
         "random_300_k6": lambda: random_tree(300, 6, 2),
     }
     return generated[name]() if name in generated else helpers.load_fixture(name)
@@ -1001,6 +1022,14 @@ GOLDEN_SIBLING_FILL = {
         "ba2f44202297253f",
         "a8e4c23f563dc2b2",
         "BadParams: vertex 2 has valence 3, not 1 or 4",
+    ),
+    "hub4_random16": (
+        "371dfb69d7a61187",
+        "371dfb69d7a61187",
+        "371dfb69d7a61187",
+        "4329e8d74046367d",
+        "e3280b28f8e395ae",
+        "BadParams: vertex 0 has valence 4, not 1 or 5",
     ),
     "path10": (
         "4f2ec7dd309d7acc",

@@ -8,6 +8,7 @@ import pytest
 
 from treedist import (
     Coloring,
+    color_near_distinguishing,
     color_tree,
     fix_radius,
     max_valence,
@@ -90,11 +91,12 @@ class TestRadiusTable:
 class TestVerifyFixingGuarantee:
     def test_hub10_passes_and_fixes_sphere1(self):
         t = helpers.load_fixture("hub10_tails2")
-        report = verify_fixing_guarantee(t, 3)
+        report = verify_fixing_guarantee(t, color_tree(t, 3)[0])
         assert report.passed
 
     def test_path_passes(self):
-        report = verify_fixing_guarantee(helpers.path_tree(9), 2)
+        t = helpers.path_tree(9)
+        report = verify_fixing_guarantee(t, color_tree(t, 2)[0])
         assert report.passed
 
     def test_corrupted_coloring_yields_witness(self):
@@ -106,7 +108,7 @@ class TestVerifyFixingGuarantee:
         for a, b in zip(first[1:], second[1:]):
             mutated[b] = mutated[a]  # force two main lines equal
         bad = Coloring(coloring.num_colors, tuple(mutated))
-        report = verify_fixing_guarantee(t, 3, coloring=bad)
+        report = verify_fixing_guarantee(t, bad)
         assert not report.passed
         witness = report.failures[0].witness["unfixed_but_guaranteed"]
         assert first[0] in witness and second[0] in witness
@@ -117,43 +119,47 @@ class TestVerifyFixingGuarantee:
         mutated = list(coloring.colors)
         mutated[5] = (mutated[5] + 1) % 2
         bad = Coloring(2, tuple(mutated))
-        first = verify_fixing_guarantee(t, 2, coloring=bad)
-        again = verify_fixing_guarantee(t, 2, coloring=bad)
+        first = verify_fixing_guarantee(t, bad)
+        again = verify_fixing_guarantee(t, bad)
         assert first.to_json_dict() == again.to_json_dict()
 
     def test_oracle_budget(self):
         # no size cap: the oracle, fix_report, is near-linear in n
-        assert verify_fixing_guarantee(helpers.path_tree(70), 2).passed
+        t = helpers.path_tree(70)
+        assert verify_fixing_guarantee(t, color_tree(t, 2)[0]).passed
 
     def test_color_count_domain(self):
         with pytest.raises(BadParams, match="^need at least 2 colors, got 1$"):
-            verify_fixing_guarantee(helpers.path_tree(5), 1)
+            verify_fixing_guarantee(helpers.path_tree(5), Coloring(1, (0,) * 5))
 
     def test_more_colors_than_valence(self):
         # the radius is 0 there, so every vertex must be fixed
         for t in (helpers.path_tree(5), helpers.load_fixture("hub10_tails2")):
             for c in (max_valence(t), max_valence(t) + 1, 12):
-                assert verify_fixing_guarantee(t, c).passed
-        report = verify_fixing_guarantee(helpers.path_tree(5), 5, coloring=Coloring(5, (0, 1, 2, 1, 0)))
+                assert verify_fixing_guarantee(t, color_tree(t, c)[0]).passed
+        report = verify_fixing_guarantee(helpers.path_tree(5), Coloring(5, (0, 1, 2, 1, 0)))
         assert report.failures[0].witness == {"unfixed_but_guaranteed": [0, 1, 3, 4]}
 
 
 class TestVerifyNearDistinguishing:
     def test_glued_stars(self):
-        report = verify_near_distinguishing(helpers.load_fixture("glued_stars"))
+        t = helpers.load_fixture("glued_stars")
+        report = verify_near_distinguishing(t, color_near_distinguishing(t))
         assert report.passed and report.skipped == 0
 
     def test_asymmetric_tree(self):
         t = tree_from_edges([(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6), (6, 7)])
-        report = verify_near_distinguishing(t)
+        report = verify_near_distinguishing(t, color_near_distinguishing(t))
         assert report.passed
 
     def test_complete_tree_depth2(self):
-        report = verify_near_distinguishing(helpers.complete_tree(3, 2))
+        t = helpers.complete_tree(3, 2)
+        report = verify_near_distinguishing(t, color_near_distinguishing(t))
         assert report.passed
 
     def test_paths_are_skipped(self):
-        report = verify_near_distinguishing(helpers.path_tree(6))
+        t = helpers.path_tree(6)
+        report = verify_near_distinguishing(t, color_near_distinguishing(t))
         assert report.passed and report.skipped == 1
 
 
