@@ -15,6 +15,8 @@ vertex id everywhere, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .errors import BadParams
 from .symmetry import UNCOLORED, Coloring, canonical_labels
 from .tree_core import Record, RootedView, Tree, fix_radius, max_valence, root_at
@@ -97,31 +99,30 @@ class ColoringTrace(Record):
 
 
 def _fill_sibling_distinct(rv: RootedView, colors: list[int], palette_size: int) -> None:
-    """Give every child that is still UNCOLORED its index among its siblings
-    as its color, in one pass over the view: below the vertices colored
-    beforehand, every vertex's children get pairwise different colors,
-    ascending ids mapped to ascending colors."""
-    adjacency, parent = rv.adjacency, rv.parent
-    for u in rv.order:
-        i = 0
-        for w in adjacency[u]:
-            if parent[w] == u:
-                if colors[w] == UNCOLORED:
-                    assert i < palette_size, "sibling group exceeds palette"
-                    colors[w] = i
-                i += 1
+    """Give every child that is still UNCOLORED its index among its siblings,
+    its offset in its parent's block, as its color, in one pass over the
+    view: below the vertices colored beforehand, the roots among them, every
+    vertex's children get pairwise different colors, ascending ids mapped
+    to ascending colors."""
+    parent, first = rv.parent, rv.first
+    k = len(rv.roots)
+    for pos, w in enumerate(islice(rv.order, k, None), k):
+        if colors[w] == UNCOLORED:
+            i = pos - first[parent[w]]
+            assert i < palette_size, "sibling group exceeds palette"
+            colors[w] = i
 
 
 def _descent(rv: RootedView, v: int, length: int) -> tuple[int, ...]:
     """The first `length` vertices (fewer at a leaf) of a path from v to a
     deepest leaf of its subtree; ties descend through the smallest vertex id.
-    A deepest child is one a level lower, and the neighbours are ascending."""
-    adjacency, parent, heights = rv.adjacency, rv.parent, rv.heights
+    A deepest child is one a level lower, and each block is ascending."""
+    order, first, stop, heights = rv.order, rv.first, rv.stop, rv.heights
     path = [v]
     cur = v
     while len(path) < length and heights[cur]:
         below = heights[cur] - 1
-        cur = next(x for x in adjacency[cur] if heights[x] == below and parent[x] == cur)
+        cur = next(x for x in order[first[cur] : stop[cur]] if heights[x] == below)
         path.append(cur)
     return tuple(path)
 
@@ -155,7 +156,7 @@ def color_tree(tree: Tree, num_colors: int) -> tuple[Coloring, ColoringTrace]:
 
     # 2 <= c <= k-2, hence k >= 4 and a log-form radius
     radius = fix_radius(c, k)
-    heights = rv.heights
+    order, first, stop, heights = rv.order, rv.first, rv.stop, rv.heights
     colors = [UNCOLORED] * n
     trace = ColoringTrace(rules=[""] * n)
     rules = trace.rules
@@ -239,16 +240,16 @@ def color_tree(tree: Tree, num_colors: int) -> tuple[Coloring, ColoringTrace]:
             for line in lines:
                 stack.extend(step4(line))
 
-    for u in rv.order:
+    for u in order:
         if colors[u] != UNCOLORED:
             continue
         if heights[u] < radius:
             colors[u] = 0
             rules[u] = "step2_default"
             continue
-        # every vertex before u in BFS order is colored: the parent's own
-        # parent, and the other root of an edge center, are left out
-        group = [x for x in rv.adjacency[rv.parent[u]] if colors[x] == UNCOLORED and heights[x] >= radius]
+        # u's siblings before it in BFS order are colored
+        p = rv.parent[u]
+        group = [x for x in order[first[p] : stop[p]] if colors[x] == UNCOLORED and heights[x] >= radius]
         for x, col in zip(group, balanced_colors(len(group), list(range(c)))):
             colors[x] = col
             rules[x] = "step3_optimal"
@@ -326,7 +327,7 @@ def color_near_distinguishing(tree: Tree) -> Coloring:
     if len(rv.roots) == 1:
         v = rv.roots[0]
         colors[v] = 0
-        nbrs = rv.adjacency[v]
+        nbrs = rv.order[rv.first[v] : rv.stop[v]]
         for i, x in enumerate(nbrs):
             colors[x] = i % num
     else:
@@ -381,23 +382,22 @@ def color_regular(tree: Tree) -> Coloring:
     if bad:
         raise BadParams(f"vertex {bad[0]} has valence {tree.degree(bad[0])}, not 1 or {k}")
     rv = tree.centered
-    adjacency, parent, heights = rv.adjacency, rv.parent, rv.heights
+    order, first, stop, heights = rv.order, rv.first, rv.stop, rv.heights
     colors = [UNCOLORED] * n
     for i, r in enumerate(rv.roots):
         colors[r] = i
-        for x in rv.children_of(r):
+        for x in order[first[r] : stop[r]]:
             colors[x] = 1
-    for u in rv.order:
+    for u in order:
         if not heights[u]:
             continue
         by_color: dict[int, list[int]] = {}
-        for x in adjacency[u]:
-            if parent[x] == u and heights[x]:
+        for x in order[first[u] : stop[u]]:
+            if heights[x]:
                 by_color.setdefault(colors[x], []).append(x)
         for col in sorted(by_color):
             for blacks, x in enumerate(by_color[col]):
-                # x's neighbours are its children and u
-                for i, y in enumerate(y for y in adjacency[x] if y != u):
+                for i, y in enumerate(order[first[x] : stop[x]]):
                     colors[y] = 1 if i < blacks else 0
     return Coloring(2, tuple(colors))
 

@@ -104,41 +104,32 @@ def canonical_labels(rv: RootedView, colors: Sequence[int]) -> list[int]:
     and the intern table holds one level's keys: it is emptied between
     levels, and a running base keeps every label of the call distinct.
     """
-    adjacency, parent, heights = rv.adjacency, rv.parent, rv.heights
-    n = rv.n
+    order, first, stop, heights = rv.order, rv.first, rv.stop, rv.heights
     level_of = heights.__getitem__
     table: dict[int | tuple[int, int] | tuple[int, tuple[int, ...]], int] = {}
-    labels = [-1] * (n + 1)
+    labels = [-1] * rv.n
     label_of = labels.__getitem__
     # a leaf's key is its color; the leaves, half the vertices of a random
     # tree, are labelled as they are met and kept out of the sort
     internal = []
-    for u in rv.order:
+    for u in order:
         if heights[u]:
             internal.append(u)
         else:
             labels[u] = table.setdefault(colors[u], len(table))
     internal.sort(key=level_of)
     base = len(table)
-    # a vertex is labelled before its parent, whose slot still reads -1, so
-    # a key is read off the neighbours: one child's key is the child's label
-    # bare, and any other holds the -1 once, which no label equals.  A root
-    # has no parent: it reads the -1 from slot n, which stays -1, and skips
-    # the other root
+    # a lone child's key is its label bare, which no tuple of labels equals
     for _, level in groupby(internal, level_of):
         table.clear()
         for u in level:
-            nbrs = adjacency[u]
-            if parent[u] is None:
-                nbrs = (n, *rv.children_of(u))
-            if len(nbrs) == 2:
-                a, b = nbrs
-                key = (colors[u], labels[a] + labels[b] + 1)
+            i, j = first[u], stop[u]
+            if j - i == 1:
+                key = (colors[u], labels[order[i]])
             else:
-                key = (colors[u], tuple(sorted(map(label_of, nbrs))))
+                key = (colors[u], tuple(sorted(map(label_of, order[i:j]))))
             labels[u] = table.setdefault(key, base + len(table))
         base += len(table)
-    labels.pop()
     return labels
 
 
@@ -222,41 +213,36 @@ def _fixed(rv: RootedView, labels: Sequence[int]) -> list[bool]:
     """Whether each vertex is fixed by every color-preserving automorphism,
     given the canonical labels of rv's subtrees.
 
-    The roots are fixed unless they are the two ends of an edge center whose
-    halves carry equal labels, which a swap exchanges.  Below them, one
-    top-down pass: a child is fixed exactly when its parent is and no
+    The roots are siblings below a virtual fixed vertex, so they are fixed
+    unless they are the two ends of an edge center whose halves carry equal
+    labels, which a swap exchanges.  Below them, one top-down pass over the
+    blocks of children: a child is fixed exactly when its parent is and no
     sibling shares its label, since an automorphism fixing the parent
     permutes its children within classes of equal label, and every such
     permutation extends to one.  An unfixed parent's subtree stays unfixed.
     """
     fixed = [False] * rv.n
-    roots = rv.roots
-    if len(roots) == 1 or labels[roots[0]] != labels[roots[1]]:
-        for r in roots:
-            fixed[r] = True
-    adjacency, parent, heights = rv.adjacency, rv.parent, rv.heights
-    # a fixed vertex's neighbours are its children and its parent, which is
-    # fixed already and whose label no child shares, as its subtree is
-    # larger: the parent is only marked fixed again.  A root's neighbours
-    # are its children, and at an edge center the other root.  A leaf has
-    # nothing to mark
-    for u in rv.order:
-        if not fixed[u] or not heights[u]:
+    order, first, stop, heights = rv.order, rv.first, rv.stop, rv.heights
+    # the roots are the block of a virtual fixed vertex, None, at the head
+    # of order.  A leaf's block is empty, and a lone child is fixed
+    for u in chain((None,), order):
+        if u is None:
+            i, j = 0, len(rv.roots)
+        elif fixed[u] and heights[u]:
+            i, j = first[u], stop[u]
+        else:
             continue
-        nbrs = adjacency[u]
-        if parent[u] is None:
-            nbrs = rv.children_of(u)
-        elif len(nbrs) == 2:
-            a, b = nbrs
-            fixed[a] = fixed[b] = True
+        if j - i == 1:
+            fixed[order[i]] = True
             continue
-        labs = list(map(labels.__getitem__, nbrs))
+        block = order[i:j]
+        labs = list(map(labels.__getitem__, block))
         if len(set(labs)) == len(labs):
-            for w in nbrs:
+            for w in block:
                 fixed[w] = True
         else:
             tally = Counter(labs)
-            for w, label in zip(nbrs, labs):
+            for w, label in zip(block, labs):
                 fixed[w] = tally[label] == 1
     return fixed
 
@@ -285,25 +271,21 @@ def fix_report(tree: Tree, coloring: Coloring) -> FixReport:
     fixed = _fixed(rv, labels)
 
     # orbits are numbered in breadth-first order of their first vertex, which
-    # is rv.order: the roots, then each parent's children in turn.  A fixed
-    # vertex is an orbit of its own.  Other children share an orbit when
-    # their parents do and their labels coincide, which a table keyed by
-    # (parent's orbit, label) finds; a fixed parent's orbit is the parent
+    # is rv.order: the roots, then each parent's block of children in turn.
+    # A fixed vertex is an orbit of its own.  Other children share an orbit
+    # when their parents do and their labels coincide, which a table keyed
+    # by (parent's orbit, label) finds; a fixed parent's orbit is the parent
     # alone, so its children are grouped among themselves.  An orbit is
-    # complete before its vertices are visited as parents.  A vertex's
-    # children are the neighbours it finds with no orbit yet: its parent
-    # and the other root of an edge center have theirs.  The roots are the
-    # children of a virtual orbit -1, so the two halves a swap exchanges
+    # complete before its vertices are visited as parents.  The roots are
+    # the block of a virtual orbit -1, so the two halves a swap exchanges
     # share their orbits
     orbit = [-1] * tree.n
     count = 0  # the next orbit id
     shared: dict[tuple[int, int], int] = {}
-    adjacency = rv.adjacency
-    for u in chain((None,), rv.order):
-        o, nbrs = (-1, rv.roots) if u is None else (orbit[u], adjacency[u])
-        for w in nbrs:
-            if orbit[w] >= 0:
-                continue
+    order, first, stop = rv.order, rv.first, rv.stop
+    for u in chain((None,), order):
+        o, block = (-1, rv.roots) if u is None else (orbit[u], order[first[u] : stop[u]])
+        for w in block:
             if fixed[w]:
                 x = count
                 count += 1
@@ -430,10 +412,11 @@ def _shape_classes(rv: RootedView, shape: list[int]) -> dict[int, list[tuple[int
     of its children, and last the virtual class -1, whose children are the
     center's roots.  The pairs do not depend on the number of colors, so
     they are built once, and each counting pass visits shapes, not vertices."""
+    order, first, stop = rv.order, rv.first, rv.stop
     classes: dict[int, list[tuple[int, int]]] = {}
-    for u in reversed(rv.order):
+    for u in reversed(order):
         if shape[u] not in classes:
-            classes[shape[u]] = list(Counter(map(shape.__getitem__, rv.children_of(u))).items())
+            classes[shape[u]] = list(Counter(map(shape.__getitem__, order[first[u] : stop[u]])).items())
     classes[-1] = list(Counter(map(shape.__getitem__, rv.roots)).items())
     return classes
 

@@ -3,11 +3,12 @@
 Trees are immutable: vertices are exactly 0..n-1, adjacency lists are sorted
 tuples.  A RootedView adds parent, order, heights and depth indexing from one
 root (or from the two endpoints of an edge center, each rooting its own
-half), reads children off the tree's adjacency, and is likewise immutable,
-so both types are safe to share across threads.  Every Tree carries its
-center-rooted view, Tree.centered, built on first use and then shared by
-all callers; the view is a deterministic function of the tree, so building
-it twice yields equal views and sharing stays safe.
+half), keeps each vertex's children as one block of its breadth-first
+order, and is likewise immutable, so both types are safe to share across
+threads.  Every Tree carries its center-rooted view, Tree.centered, built
+on first use and then shared by all callers; the view is a deterministic
+function of the tree, so building it twice yields equal views and sharing
+stays safe.
 RootedView.heights holds each vertex's subtree height, the integer that
 callers compare with the fixing threshold fix_radius.
 
@@ -367,17 +368,16 @@ def center(tree: Tree) -> tuple[int, ...]:
 
 class RootedView:
     """A Tree indexed from its root(s): adjacency, parent, order, heights,
-    and depth on demand.
+    first and stop, and depth on demand.
 
     With an edge center both endpoints sit at depth 0, the edge between
     them carries no parent/child relation, and each endpoint roots its own
-    half.  The view keeps no children: u's children are the neighbours w
-    in adjacency[u] with parent[w] == u, which leaves out u's parent and,
-    at an edge center, the other root.  adjacency is the tree's own tuple,
-    so they come out ascending by vertex id; every traversal in the library
-    derives its determinism from that ordering.  heights[u] is the greatest
-    distance from u to a leaf of its own subtree, 0 exactly when u has no
-    children.
+    half.  u's children, its neighbours but its parent and, at an edge
+    center, the other root, are the block order[first[u]:stop[u]], ascending
+    by vertex id; every traversal in the library derives its determinism
+    from that ordering.  The blocks tile order after the roots, and a leaf's
+    is empty.  heights[u] is the greatest distance from u to a leaf of its
+    own subtree, 0 exactly when u has no children.
 
     One breadth-first loop builds every view, and one bottom-up pass its
     heights.  The roots must be one vertex or the two ends of an edge: the
@@ -401,6 +401,9 @@ class RootedView:
         if len(ends) == 2:
             a, b = ends
             parent[a], parent[b] = b, a
+        # u's children are enqueued as one block; a leaf's stays 0:0, empty
+        first = array("i", [0]) * n
+        stop = array("i", [0]) * n
         order = list(ends)
         for u in order:
             nbrs = adjacency[u]
@@ -412,7 +415,9 @@ class RootedView:
                 nbrs = nbrs[:i] + nbrs[i + 1 :]
             for w in nbrs:
                 parent[w] = u
+            first[u] = len(order)
             order.extend(nbrs)
+            stop[u] = len(order)
         for r in ends:
             parent[r] = None
         heights = [0] * n
@@ -426,6 +431,8 @@ class RootedView:
         self.order = tuple(order)
         del order
         self.heights = tuple(heights)
+        self.first = first
+        self.stop = stop
 
     @cached_property
     def depth(self) -> tuple[int, ...]:
@@ -438,20 +445,19 @@ class RootedView:
         return tuple(depth)
 
     def children_of(self, u: int) -> list[int]:
-        """u's children, ascending, made afresh on each call: the view
-        keeps no list of them."""
-        parent = self.parent
-        return [w for w in self.adjacency[u] if parent[w] == u]
+        """u's children, ascending: its block of order, as a new list."""
+        return list(self.order[self.first[u] : self.stop[u]])
 
     def subtree(self, u: int) -> list[int]:
         """u together with all of its descendants, in preorder."""
         _check_vertex(u, self.n)
+        order, first, stop = self.order, self.first, self.stop
         out = []
         stack = [u]
         while stack:
             x = stack.pop()
             out.append(x)
-            stack.extend(reversed(self.children_of(x)))
+            stack.extend(reversed(order[first[x] : stop[x]]))
         return out
 
 

@@ -195,7 +195,8 @@ class TestPeakMemory:
     def test_centered_path_smaller_than_its_tree(self):
         # the view once kept a child tuple per vertex, 1.10 times the
         # tree's own bytes on a path; with the tree's adjacency in place of
-        # the children it keeps parent, order and heights, about 0.54
+        # the children it keeps parent, order and heights, and the first
+        # and stop arrays of the children's blocks, about 0.62
         t, _, tree_bytes = helpers.traced_peak(lambda: helpers.path_tree(20000))
         _, _, kept = helpers.traced_peak(lambda: t.centered)
         assert kept < 0.7 * tree_bytes, (kept, tree_bytes)
@@ -274,8 +275,10 @@ class TestRootAt:
             build(helpers.path_tree(3), roots)
 
     def test_children_partition_and_parent_inverts(self):
-        for seed in range(20):
-            t = random_tree(18, 5, seed)
+        randoms = [random_tree(18, 5, seed) for seed in range(20)]
+        # one vertex, one edge center alone, and an edge center with children
+        small = [tree_from_edges([], n=1), tree_from_edges([(0, 1)]), helpers.path_tree(4)]
+        for t in small + randoms:
             rv = root_at(t, center(t))
             children = [rv.children_of(u) for u in range(t.n)]
             seen = [v for u in range(t.n) for v in children[u]]
@@ -284,6 +287,25 @@ class TestRootAt:
                 assert children[u] == sorted(children[u])
                 for v in children[u]:
                     assert rv.parent[v] == u
+            self._assert_blocks(rv)
+        for t in randoms:
+            for v in range(t.n):
+                self._assert_blocks(root_at(t, v))
+
+    @staticmethod
+    def _assert_blocks(rv):
+        """Each vertex's children are its block of order, as the parents
+        name them; a leaf's block is empty, and the blocks, taken in BFS
+        order, tile order after the roots."""
+        by_parent = helpers.view_children(rv)
+        tiled = []
+        for u in rv.order:
+            block = rv.order[rv.first[u] : rv.stop[u]]
+            assert block == tuple(rv.children_of(u)) == by_parent[u]
+            if not rv.heights[u]:
+                assert block == ()
+            tiled.extend(block)
+        assert tuple(tiled) == rv.order[len(rv.roots) :]
 
     def test_depth_is_bfs_distance(self):
         for seed in range(20):
