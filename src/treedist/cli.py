@@ -70,11 +70,9 @@ def _dot_lines(tree: Tree, coloring: Coloring, trace: ColoringTrace) -> Iterator
         attrs[c] = f' [fillcolor="{fill}"{font}];\n'
     for v, attr in enumerate(map(attrs.__getitem__, coloring.colors)):
         yield f"  {v}{attr}"
-    for u, nbrs in enumerate(tree.adjacency):
-        for v in nbrs:
-            if u < v:
-                attr = " [penwidth=2]" if bold and (u, v) in bold else ""
-                yield f"  {u} -- {v}{attr};\n"
+    for u, v in tree.edges():
+        attr = " [penwidth=2]" if bold and (u, v) in bold else ""
+        yield f"  {u} -- {v}{attr};\n"
     yield "}\n"
 
 

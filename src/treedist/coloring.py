@@ -431,7 +431,7 @@ def color_spine(tree: Tree, spine: list[int] | None = None, max_degree: int | No
     if tree.degree(spine[0]) != 1:
         raise BadParams(f"spine must start at a leaf; vertex {spine[0]} has valence {tree.degree(spine[0])}")
     for z, nxt in zip(spine, spine[1:]):
-        if nxt not in tree.adjacency[z]:
+        if nxt not in tree.neighbors(z):
             raise BadParams(f"spine vertices {z} and {nxt} are not adjacent")
     num = max(k - 1, 2)
     off_palette = [x for x in range(num) if x != 1]

@@ -32,7 +32,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from itertools import chain, compress, groupby
+from itertools import chain, compress
 
 from .errors import BadFormat, BadParams, BudgetExceeded
 from .tree_core import Record, RootedView, Tree
@@ -103,25 +103,34 @@ def canonical_labels(rv: RootedView, colors: Sequence[int]) -> list[int]:
     labelled one height at a time, lowest first (Aho, Hopcroft and Ullman),
     and the intern table holds one level's keys: it is emptied between
     levels, and a running base keeps every label of the call distinct.
+    Each level is taken in breadth-first order, and only two levels are
+    held at a time: the pass that labels the leaves collects the vertices
+    of height 1, and each level yields the next as it is labelled.
     """
-    order, first, stop, heights = rv.order, rv.first, rv.stop, rv.heights
-    level_of = heights.__getitem__
+    order, first, stop, heights, parent = rv.order, rv.first, rv.stop, rv.heights, rv.parent
     table: dict[int | tuple[int, int] | tuple[int, tuple[int, ...]], int] = {}
     labels = [-1] * rv.n
     label_of = labels.__getitem__
-    # a leaf's key is its color; the leaves, half the vertices of a random
-    # tree, are labelled as they are met and kept out of the sort
-    internal = []
+    # a leaf's key is its color
+    level = []
     for u in order:
-        if heights[u]:
-            internal.append(u)
-        else:
+        h = heights[u]
+        if not h:
             labels[u] = table.setdefault(colors[u], len(table))
-    internal.sort(key=level_of)
+        elif h == 1:
+            level.append(u)
     base = len(table)
-    # a lone child's key is its label bare, which no tuple of labels equals
-    for _, level in groupby(internal, level_of):
+    # a vertex of height h + 1 has a child of height h, and breadth-first
+    # order lists parents in the order of their children, whose blocks are
+    # contiguous: so the next level is the new parents of this one that
+    # have height h + 1, in the order they are met.  A lone child's key is
+    # its label bare, which no tuple of labels equals
+    h = 1
+    while level:
         table.clear()
+        h += 1
+        above = []
+        last = None
         for u in level:
             i, j = first[u], stop[u]
             if j - i == 1:
@@ -129,7 +138,13 @@ def canonical_labels(rv: RootedView, colors: Sequence[int]) -> list[int]:
             else:
                 key = (colors[u], tuple(sorted(map(label_of, order[i:j]))))
             labels[u] = table.setdefault(key, base + len(table))
+            p = parent[u]
+            if p != last:
+                last = p
+                if p is not None and heights[p] == h:
+                    above.append(p)
         base += len(table)
+        level = above
     return labels
 
 
@@ -326,7 +341,7 @@ def _check_batch(tree: Tree, colors: Sequence[int], batch: list[tuple[int, ...]]
     classes: dict[int, set[int]] = {}
     for v, c in enumerate(colors):
         classes.setdefault(c, set()).add(v)
-    arcs = {(u, w) for u, nbrs in enumerate(tree.adjacency) for w in nbrs}
+    arcs = set(tree.arcs())
     images = list(zip(*batch))
     if not (
         set(map(len, map(set, batch))) == {len(colors)}
@@ -353,7 +368,8 @@ def enumerate_automorphisms(
     _require_total(tree, coloring)
     n = tree.n
     cols = coloring.colors
-    adjacency = tree.adjacency
+    # each vertex's neighbours as a tuple, which the search iterates fastest
+    adjacency = [tuple(tree.neighbors(v)) for v in range(n)]
     # an image must have the same degree and color: one int holds both
     kind = [len(nbrs) + n * c for nbrs, c in zip(adjacency, cols)]
     # BFS from vertex 0: above[i] is the parent of order[i]
@@ -401,6 +417,8 @@ def enumerate_automorphisms(
             raise BudgetExceeded(f"more than {limit} automorphisms")
         if len(results) % VERIFY_BATCH == 0:
             _check_batch(tree, cols, results[-VERIFY_BATCH:])
+    # the search's tuples go before the last check's arcs are built
+    del adjacency, its
     _check_batch(tree, cols, results[len(results) - len(results) % VERIFY_BATCH :])
     results.sort()
     return results

@@ -1,14 +1,16 @@
 """Tree representation and the structural queries everything else consumes.
 
-Trees are immutable: vertices are exactly 0..n-1, adjacency lists are sorted
-tuples.  A RootedView adds parent, order, heights and depth indexing from one
-root (or from the two endpoints of an edge center, each rooting its own
-half), keeps each vertex's children as one block of its breadth-first
-order, and is likewise immutable, so both types are safe to share across
-threads.  Every Tree carries its center-rooted view, Tree.centered, built
-on first use and then shared by all callers; the view is a deterministic
-function of the tree, so building it twice yields equal views and sharing
-stays safe.
+A Tree is two flat arrays of machine ints: every vertex's neighbours, one
+ascending block per vertex, and the n+1 offsets of those blocks.  Vertices
+are exactly 0..n-1, and only this module reads the arrays; the rest of the
+library asks Tree.neighbors, Tree.degree, Tree.arcs and Tree.edges.  A
+RootedView adds parent, order, heights and depth indexing from one root (or
+from the two endpoints of an edge center, each rooting its own half), keeps
+each vertex's children as one block of its breadth-first order, and is
+likewise immutable, so both types are safe to share across threads.  Every
+Tree carries its center-rooted view, Tree.centered, built on first use and
+then shared by all callers; the view is a deterministic function of the
+tree, so building it twice yields equal views and sharing stays safe.
 RootedView.heights holds each vertex's subtree height, the integer that
 callers compare with the fixing threshold fix_radius.
 
@@ -18,7 +20,7 @@ peel yields the center (the last layer), which the Tree keeps until
 Tree.centered is built, so no tree is peeled twice.  random_tree cannot
 make anything but a tree, so it is peeled only when its center is asked
 for.  Every RootedView, at the center or elsewhere, is built by one
-breadth-first loop over the adjacency tuples and one bottom-up pass for the
+breadth-first loop over the neighbour blocks and one bottom-up pass for the
 heights.
 """
 
@@ -28,9 +30,10 @@ import json
 import random
 import re
 from array import array
-from collections.abc import Iterable, Iterator, MutableSequence, Sequence
+from collections.abc import Iterable, Iterator, MutableSequence
 from functools import cache, cached_property
-from itertools import chain, islice
+from itertools import accumulate, chain, islice, repeat
+from operator import sub
 
 from .errors import BadFormat, BadParams, NotATree
 
@@ -61,16 +64,41 @@ class Record:
 
 
 class Tree(Record):
-    """Undirected tree on vertices 0..n-1 with sorted adjacency lists."""
+    """Undirected tree on vertices 0..n-1, as two arrays of machine ints
+    (typecode "i"): nbrs holds the 2(n-1) neighbours, each vertex's block
+    ascending, and offsets the n+1 ends of the blocks, so v's neighbours
+    are nbrs[offsets[v]:offsets[v + 1]]."""
 
-    _fields = ("n", "adjacency")
+    _fields = ("n", "nbrs", "offsets")
 
-    def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...]):
+    def __init__(self, n: int, nbrs: array, offsets: array):
         self.n = n
-        self.adjacency = adjacency
+        self.nbrs = nbrs
+        self.offsets = offsets
+
+    def __hash__(self):
+        # an array has no hash; its bytes do
+        return hash((self.n, self.nbrs.tobytes(), self.offsets.tobytes()))
+
+    def neighbors(self, v: int) -> array:
+        """v's neighbours, ascending, as a new array."""
+        offsets = self.offsets
+        return self.nbrs[offsets[v] : offsets[v + 1]]
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        offsets = self.offsets
+        return offsets[v + 1] - offsets[v]
+
+    def arcs(self) -> Iterator[tuple[int, int]]:
+        """Every edge in both directions, as (u, v) for each neighbour v of
+        u, in ascending order."""
+        offsets = self.offsets
+        heads = map(repeat, range(self.n), map(sub, islice(offsets, 1, None), offsets))
+        return zip(chain.from_iterable(heads), self.nbrs)
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Every edge once, as (u, v) with u < v, in ascending order."""
+        return ((u, v) for u, v in self.arcs() if u < v)
 
     def check_vertex(self, v: int) -> None:
         _check_vertex(v, self.n)
@@ -118,20 +146,15 @@ def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
         i = next(i for i, x in enumerate(ends) if x < 0) & ~1
         raise NotATree(f"negative vertex id in edge ({ends[i]}, {ends[i + 1]})")
     max_id = max(ends, default=-1)
-    # the ids are contiguous when every one of 0..max_id has a neighbour; a
-    # max_id of 2*m or more rules that out before anything is allocated in
-    # the largest id, however short the input
-    adj: list = []
+    # deg[v] counts v's ends, and its running sums are the offsets.  The
+    # ids are contiguous when every one of 0..max_id has an end; a max_id
+    # of 2*m or more rules that out before anything is allocated in the
+    # largest id, however short the input
     if max_id < 2 * m:
-        # an adjacency entry naming a vertex is that vertex's one int object
-        names = list(range(max_id + 1))
-        adj = [[] for _ in names]
-        it = iter(ends)
-        for u, v in zip(it, it):
-            adj[u].append(names[v])
-            adj[v].append(names[u])
-        del names
-    if len(adj) != max_id + 1 or not all(adj):
+        deg = [0] * (max_id + 1)
+        for x in ends:
+            deg[x] += 1
+    if max_id >= 2 * m or 0 in deg:
         # from the gaps between present ids, for the same reason
         present = sorted(set(ends))
         gaps = (range(a + 1, b) for a, b in zip([-1, *present], present))
@@ -145,17 +168,24 @@ def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
         raise NotATree(f"vertex id {max_id} exceeds declared count {n}")
     if m != n - 1:
         raise NotATree(f"{m} edges for {n} vertices; a tree needs {n - 1}")
-    adj.extend([] for _ in range(n - len(adj)))
-
-    # each list is sorted in place and replaced by its tuple, so the lists
-    # and the tuples are never all alive at once
-    for v, nbrs in enumerate(adj):
-        nbrs.sort()
-        adj[v] = tuple(nbrs)
+    deg.extend(repeat(0, n - 1 - max_id))
+    offsets = array("i", accumulate(deg, initial=0))
+    del deg
+    nbrs = _blocks(islice(ends, 0, None, 2), islice(ends, 1, None, 2), offsets)
+    # a block is in edge order: two entries are put in order by one
+    # comparison, more by a sort
+    for i, j in zip(offsets, islice(offsets, 1, None)):
+        if j - i == 2:
+            v = nbrs[i]
+            if v > nbrs[i + 1]:
+                nbrs[i] = nbrs[i + 1]
+                nbrs[i + 1] = v
+        elif j - i > 2:
+            nbrs[i:j] = array("i", sorted(nbrs[i:j]))
 
     # with n-1 edges, peeling removes every vertex exactly when the graph is
     # a tree
-    found = _peel(adj, n)
+    found = _peel(nbrs, offsets)
     if found is None:
         # n-1 edges with a self-loop or a repeated edge cannot connect n
         # vertices, so these are looked for only here; the first in edge
@@ -174,39 +204,67 @@ def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
         stack = [0]
         count = 1
         while stack:
-            for w in adj[stack.pop()]:
+            u = stack.pop()
+            for w in nbrs[offsets[u] : offsets[u + 1]]:
                 if not reached[w]:
                     reached[w] = 1
                     count += 1
                     stack.append(w)
         raise NotATree(f"disconnected: {count} of {n} vertices reachable from 0")
     del ends[:]
-    tree = Tree(n, tuple(adj))
+    tree = Tree(n, nbrs, offsets)
     tree._peel = found
     return tree
 
 
-def _peel(adjacency: Sequence[tuple[int, ...]], n: int) -> tuple[int, ...] | None:
+def _blocks(us: Iterable[int], vs: Iterable[int], offsets: array) -> array:
+    """The neighbour array of the edges (us[i], vs[i]), with each vertex's
+    block, as offsets bounds it, filled in edge order."""
+    nbrs = array("i", [0]) * offsets[-1]
+    fill = offsets[:-1]  # each block's next free slot
+    for u, v in zip(us, vs):
+        i = fill[u]
+        nbrs[i] = v
+        fill[u] = i + 1
+        i = fill[v]
+        nbrs[i] = u
+        fill[v] = i + 1
+    return nbrs
+
+
+def _peel(nbrs: array, offsets: array) -> tuple[int, ...] | None:
     """Remove every leaf, round after round, until one vertex or one edge
     is left: the center, returned as a sorted tuple.  None when a round
     finds no leaf: with n-1 edges, exactly when the graph is not a tree."""
+    n = len(offsets) - 1
     if n <= 1:
         return tuple(range(n))
-    deg = list(map(len, adjacency))
+    deg = list(map(sub, islice(offsets, 1, None), offsets))
     layer = [v for v, d in enumerate(deg) if d == 1]
     removed = len(layer)
     while removed < n:
         nxt: list[int] = []
         for u in layer:
             deg[u] = 0
-            # a leaf has one neighbour left, however many it had
-            for w in adjacency[u]:
-                if deg[w]:
-                    d = deg[w] - 1
-                    deg[w] = d
-                    if d == 1:
-                        nxt.append(w)
-                    break
+            # a leaf has one neighbour left, however many it had: the
+            # first of its block that is not removed, looked for without
+            # a slice
+            i = offsets[u]
+            w = nbrs[i]
+            if not deg[w]:
+                i += 1
+                j = offsets[u + 1]
+                while i < j:
+                    w = nbrs[i]
+                    if deg[w]:
+                        break
+                    i += 1
+                else:
+                    continue
+            d = deg[w] - 1
+            deg[w] = d
+            if d == 1:
+                nxt.append(w)
         if not nxt:
             return None
         removed += len(nxt)
@@ -303,10 +361,8 @@ def edge_list_lines(tree: Tree) -> Iterator[str]:
     """The lines of format_edge_list, each ending in a newline; `treedist
     gen` writes them as they are made, so the whole text is never held."""
     yield f"# n={tree.n}\n"
-    for u, nbrs in enumerate(tree.adjacency):
-        for v in nbrs:
-            if u < v:
-                yield f"{u} {v}\n"
+    for u, v in tree.edges():
+        yield f"{u} {v}\n"
 
 
 def format_edge_list(tree: Tree) -> str:
@@ -316,7 +372,8 @@ def format_edge_list(tree: Tree) -> str:
 
 def max_valence(tree: Tree) -> int:
     """Largest vertex degree (0 for the single-vertex tree)."""
-    return max(map(len, tree.adjacency))
+    offsets = tree.offsets
+    return max(map(sub, islice(offsets, 1, None), offsets))
 
 
 def fix_radius(num_colors: int, max_degree: int) -> int:
@@ -359,7 +416,7 @@ def center(tree: Tree) -> tuple[int, ...]:
         return view.roots
     found = tree.__dict__.get("_peel")
     if found is None:
-        found = _peel(tree.adjacency, tree.n)
+        found = _peel(tree.nbrs, tree.offsets)
         if found is None:
             raise NotATree("leaf peeling stalls: the graph has a cycle or is disconnected")
         tree._peel = found
@@ -367,8 +424,8 @@ def center(tree: Tree) -> tuple[int, ...]:
 
 
 class RootedView:
-    """A Tree indexed from its root(s): adjacency, parent, order, heights,
-    first and stop, and depth on demand.
+    """A Tree indexed from its root(s): parent, order, heights, first and
+    stop, and depth on demand.
 
     With an edge center both endpoints sit at depth 0, the edge between
     them carries no parent/child relation, and each endpoint roots its own
@@ -379,20 +436,20 @@ class RootedView:
     is empty.  heights[u] is the greatest distance from u to a leaf of its
     own subtree, 0 exactly when u has no children.
 
-    One breadth-first loop builds every view, and one bottom-up pass its
-    heights.  The roots must be one vertex or the two ends of an edge: the
-    loop follows edges only.  A view keeps its tree's vertex count n and
-    adjacency tuple, not the tree, so Tree.centered forms no reference
-    cycle and reference counting frees a tree and its view as soon as the
-    last caller drops it.
+    One breadth-first loop over the tree's neighbour blocks builds every
+    view, and one bottom-up pass its heights.  The roots must be one vertex
+    or the two ends of an edge: the loop follows edges only.  A view keeps
+    its tree's vertex count n and nothing else of the tree, so
+    Tree.centered forms no reference cycle and reference counting frees a
+    tree and its view as soon as the last caller drops it.
     """
 
     def __init__(self, tree: Tree, roots: tuple[int, ...]):
         self.n = n = tree.n
         self.roots = ends = tuple(sorted(roots))
-        self.adjacency = adjacency = tree.adjacency
-        if len(ends) not in (1, 2) or len(ends) == 2 and ends[1] not in adjacency[ends[0]]:
+        if len(ends) not in (1, 2) or len(ends) == 2 and ends[1] not in tree.neighbors(ends[0]):
             raise BadParams(f"roots {tuple(roots)} are neither one vertex nor the two ends of an edge")
+        nbrs, offsets = tree.nbrs, tree.offsets
         parent: list[int | None] = [None] * n
         # breadth-first: order doubles as the queue; a vertex's children are
         # its neighbours but its parent, and each child's parent is set as it
@@ -406,17 +463,30 @@ class RootedView:
         stop = array("i", [0]) * n
         order = list(ends)
         for u in order:
-            nbrs = adjacency[u]
+            i, j = offsets[u], offsets[u + 1]
             p = parent[u]
-            if p is not None:
-                if len(nbrs) == 1:
-                    continue
-                i = nbrs.index(p)
-                nbrs = nbrs[:i] + nbrs[i + 1 :]
-            for w in nbrs:
+            if p is None:
+                block = nbrs[i:j]
+            elif j - i == 1:
+                continue
+            elif j - i == 2:
+                # a lone child, enqueued without a slice
+                w = nbrs[i]
+                if w == p:
+                    w = nbrs[i + 1]
+                parent[w] = u
+                k = len(order)
+                first[u] = k
+                stop[u] = k + 1
+                order.append(w)
+                continue
+            else:
+                block = nbrs[i:j]
+                block.remove(p)
+            for w in block:
                 parent[w] = u
             first[u] = len(order)
-            order.extend(nbrs)
+            order.extend(block)
             stop[u] = len(order)
         for r in ends:
             parent[r] = None
@@ -486,18 +556,19 @@ def random_tree(n: int, max_degree: int, seed: int) -> Tree:
     if n == 2 and max_degree < 1:
         raise BadParams("an edge needs degree 1 at both ends")
     getrandbits = random.Random(seed).getrandbits
-    # a parent precedes its children, so each list comes out sorted; its
-    # length is the degree, and names[p] is p's one int object
-    names = list(range(n))
-    adj: list = [[] for _ in names]
-    for v in islice(names, 1, None):
+    # deg counts each vertex's edge to its parent from the start, as no
+    # vertex is drawn before it is attached.  A parent precedes its
+    # children, so with the edges (parent[v], v) taken in the order they
+    # are drawn every block fills in ascending order
+    deg = [0] + [1] * (n - 1)
+    parent = [0] * n
+    for v in range(1, n):
         bits = v.bit_length()
         p = getrandbits(bits)
-        while p >= v or len(adj[p]) >= max_degree:
+        while p >= v or deg[p] >= max_degree:
             p = getrandbits(bits)
-        adj[p].append(v)
-        adj[v].append(names[p])
-    del names
-    for v, nbrs in enumerate(adj):
-        adj[v] = tuple(nbrs)
-    return Tree(n, tuple(adj))
+        deg[p] += 1
+        parent[v] = p
+    offsets = array("i", accumulate(deg, initial=0))
+    del deg
+    return Tree(n, _blocks(islice(parent, 1, None), range(1, n), offsets), offsets)

@@ -104,7 +104,7 @@ def verify_near_distinguishing(tree: Tree, coloring: Coloring) -> CampaignReport
     ok = not unfixed
     if len(unfixed) == 2:
         a, b = unfixed
-        shared = set(tree.adjacency[a]) & set(tree.adjacency[b])
+        shared = set(tree.neighbors(a)) & set(tree.neighbors(b))
         ok = tree.degree(a) == 1 == tree.degree(b) and bool(shared)
     return _one_trial(tree, k, coloring.num_colors, "near_distinguishing", None if ok else {"unfixed": unfixed})
 

@@ -31,9 +31,10 @@ import gc
 import math
 import random
 import tracemalloc
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, chain, permutations
 from pathlib import Path
 
 from treedist import (
@@ -126,7 +127,7 @@ def brute_force_automorphisms(tree: Tree, coloring: Coloring) -> list[tuple[int,
     Only usable for small n; completely independent of the library's search.
     """
     n = tree.n
-    edge_set = {(u, v) for u in range(n) for v in tree.adjacency[u]}
+    edge_set = {(u, v) for u in range(n) for v in tree.neighbors(u)}
     cols = coloring.colors
     out = []
     for perm in permutations(range(n)):
@@ -144,7 +145,7 @@ def bfs_dist(tree: Tree, src: int) -> list[int]:
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for w in tree.adjacency[u]:
+        for w in tree.neighbors(u):
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -153,7 +154,7 @@ def bfs_dist(tree: Tree, src: int) -> list[int]:
 
 def edges(tree: Tree) -> list[tuple[int, int]]:
     """All edges as (u, v) with u < v, sorted."""
-    return [(u, v) for u in range(tree.n) for v in tree.adjacency[u] if u < v]
+    return [(u, v) for u in range(tree.n) for v in tree.neighbors(u) if u < v]
 
 
 def reference_longest_spine(tree: Tree) -> list[int]:
@@ -170,7 +171,7 @@ def reference_longest_spine(tree: Tree) -> list[int]:
     dist = bfs_dist(tree, a)
     path = [farthest(dist)]
     while path[-1] != a:
-        path.append(next(w for w in tree.adjacency[path[-1]] if dist[w] == dist[path[-1]] - 1))
+        path.append(next(w for w in tree.neighbors(path[-1]) if dist[w] == dist[path[-1]] - 1))
     return path[::-1]
 
 
@@ -205,6 +206,13 @@ def all_labeled_trees(n: int) -> list[Tree]:
     from itertools import product
 
     return [prufer_tree(seq, n) for seq in product(range(n), repeat=n - 2)]
+
+
+def tree_from_lists(adj: list[list[int]]) -> Tree:
+    """A bare Tree over the given neighbour lists, each sorted into its
+    block, as the library lays a tree out; nothing is validated."""
+    offsets = array("i", accumulate(map(len, adj), initial=0))
+    return Tree(len(adj), array("i", chain.from_iterable(map(sorted, adj))), offsets)
 
 
 def reference_tree_from_edges(edges: list[tuple[int, int]], n: int | None = None) -> Tree:
@@ -261,7 +269,7 @@ def reference_tree_from_edges(edges: list[tuple[int, int]], n: int | None = None
     if count != n:
         raise NotATree(f"disconnected: {count} of {n} vertices reachable from 0")
 
-    return Tree(n=n, adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj))
+    return tree_from_lists(adj)
 
 
 def reference_parse_edge_list(text: str) -> Tree:
@@ -301,14 +309,14 @@ def reference_center(tree: Tree) -> tuple[int, ...]:
     n = tree.n
     if n <= 2:
         return tuple(range(n))
-    deg = list(map(len, tree.adjacency))
+    deg = [tree.degree(v) for v in range(n)]
     layer = [v for v in range(n) if deg[v] == 1]
     removed = len(layer)
     while removed < n:
         nxt: list[int] = []
         for u in layer:
             deg[u] = 0
-            for w in tree.adjacency[u]:
+            for w in tree.neighbors(u):
                 if deg[w] > 0:
                     deg[w] -= 1
                     if deg[w] == 1:
@@ -375,7 +383,7 @@ def reference_view_fields(tree: Tree, roots: tuple[int, ...]) -> dict:
     while queue:
         u = queue.popleft()
         order.append(u)
-        for w in tree.adjacency[u]:
+        for w in tree.neighbors(u):
             if depth[w] >= 0:
                 continue
             if u in root_set and w in root_set:
@@ -624,7 +632,7 @@ def reference_enumerate_automorphisms(
     _require_total(tree, coloring)
     n = tree.n
     cols = coloring.colors
-    adjacency = tree.adjacency
+    adjacency = [tuple(tree.neighbors(v)) for v in range(n)]
     degree = [len(nbrs) for nbrs in adjacency]
     order = [0]
     bfs_parent: list[int | None] = [None] * n

@@ -54,15 +54,15 @@ class TestGen:
     def test_write_peak_memory(self, monkeypatch, tmp_path):
         # only the write runs: the tree is made beforehand.  gen once built
         # an edge list and an f-string per edge, joined into one string, and
-        # peaked at 1.2 times the Tree; written line by line it reads about
-        # 0.16 (see test_tree_core's TestPeakMemory for why a ratio)
-        tree, _, tree_bytes = helpers.traced_peak(lambda: random_tree(20000, 8, 0))
+        # peaked at 115 bytes a vertex; written line by line it reads 7 to
+        # 16 (see test_tree_core's TestPeakMemory)
+        tree = random_tree(20000, 8, 0)
         monkeypatch.setattr(tree_core, "random_tree", lambda *args: tree)
         out = tmp_path / "gen.tree"
         code, peak, _ = helpers.traced_peak(lambda: main(["gen", "-n", "20000", "-k", "8", "-o", str(out)]))
         assert code == 0
         assert out.read_text() == format_edge_list(tree)
-        assert peak < 0.4 * tree_bytes, (peak, tree_bytes)
+        assert peak < 24 * tree.n, peak / tree.n
 
 
 class TestColor:
@@ -124,10 +124,10 @@ class TestColor:
     def test_dot_write_peak_memory(self, capsys, monkeypatch, tmp_path):
         # only the DOT write runs: the tree, coloring and trace are made
         # beforehand and the fixed pass is stubbed.  Writing the DOT once
-        # peaked at 2.1 times the Tree (an f-string per vertex and per edge,
+        # peaked at 200 bytes a vertex (an f-string per vertex and per edge,
         # an edge list, all joined into one string); written line by line it
-        # reads about 0.1 (see test_tree_core's TestPeakMemory for why a ratio)
-        tree, _, tree_bytes = helpers.traced_peak(lambda: random_tree(20000, 8, 0))
+        # reads about 6 (see test_tree_core's TestPeakMemory)
+        tree = random_tree(20000, 8, 0)
         made = coloring.color_tree(tree, 2)
         monkeypatch.setattr(cli, "read_tree", lambda path: tree)
         monkeypatch.setattr(coloring, "color_tree", lambda *args, **kwargs: made)
@@ -135,7 +135,7 @@ class TestColor:
         argv = ["color", "-", "-c", "2", "--dot-out", str(tmp_path / "tree.dot")]
         code, peak, _ = helpers.traced_peak(lambda: main(argv))
         assert code == 0
-        assert peak < 1.0 * tree_bytes, (peak, tree_bytes)
+        assert peak < 12 * tree.n, peak / tree.n
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -239,10 +239,13 @@ class TestVerify:
 
     def test_verify_peak_memory(self, capsys, monkeypatch, tmp_path):
         # the tree is made beforehand; reading the coloring, rooting the tree
-        # and fix_report's labelling run measured.  Together they peak at
-        # about 1.7 times the Tree, of which the view cached on the tree
-        # keeps 0.7 (see test_tree_core's TestPeakMemory for why a ratio)
-        tree, _, tree_bytes = helpers.traced_peak(lambda: random_tree(20000, 8, 0))
+        # and the labelling of the fixed pass run measured.  Together they
+        # peak at about 106 bytes a vertex, of which the view cached on the
+        # tree keeps 64 (see test_tree_core's TestPeakMemory).  While the
+        # tree held a tuple of neighbours per vertex and an int object per
+        # vertex that the view's order shared, they read 74, and the bound
+        # was twice the tree's 96
+        tree = random_tree(20000, 8, 0)
         colj = tmp_path / "coloring.json"
         made, _ = coloring.color_tree(random_tree(20000, 8, 0), 2)
         colj.write_text(json.dumps(made.to_json_dict()))
@@ -251,7 +254,7 @@ class TestVerify:
         code, peak, _ = helpers.traced_peak(lambda: main(argv))
         assert code == 0
         assert json.loads(capsys.readouterr().out)["failures"] == []
-        assert peak < 2.0 * tree_bytes, (peak, tree_bytes)
+        assert peak < 130 * tree.n, peak / tree.n
 
     def test_broken_coloring_exit1(self, capsys, tmp_path):
         colj = tmp_path / "coloring.json"
