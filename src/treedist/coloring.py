@@ -19,7 +19,7 @@ from itertools import islice
 
 from .errors import BadParams
 from .symmetry import UNCOLORED, Coloring, canonical_labels
-from .tree_core import Record, RootedView, Tree, fix_radius, max_valence, root_at
+from .tree_core import Record, RootedView, Tree, _check_vertex, fix_radius, max_valence, root_at
 
 
 def balanced_colors(count: int, palette: list[int], pairs_required: bool = False) -> list[int]:
@@ -295,7 +295,7 @@ def color_anchored(tree: Tree, anchor: int, max_degree: int | None = None) -> Co
     k = max_valence(tree) if max_degree is None else max_degree
     if max_valence(tree) > k:
         raise BadParams(f"tree valence {max_valence(tree)} exceeds declared bound {k}")
-    tree.check_vertex(anchor)
+    _check_vertex(anchor, tree.n)
     if tree.n == 1:
         return Coloring(1, (0,))
     if k < 2:
@@ -423,7 +423,7 @@ def color_spine(tree: Tree, spine: list[int] | None = None, max_degree: int | No
     if not spine:
         raise BadParams("spine is empty")
     for z in spine:
-        tree.check_vertex(z)
+        _check_vertex(z, n)
     if len(set(spine)) != len(spine):
         raise BadParams("spine repeats a vertex")
     if n == 1:

@@ -16,12 +16,11 @@ callers compare with the fixing threshold fix_radius.
 
 A tree is validated by leaf peeling: with exactly n-1 edges the graph is a
 tree when repeatedly removing every leaf removes all vertices.  The same
-peel yields the center (the last layer), which the Tree keeps until
-Tree.centered is built, so no tree is peeled twice.  random_tree cannot
-make anything but a tree, so it is peeled only when its center is asked
-for.  Every RootedView, at the center or elsewhere, is built by one
-breadth-first loop over the neighbour blocks and one bottom-up pass for the
-heights.
+peel yields the center (the last layer), which the Tree caches, so no tree
+is peeled twice.  random_tree cannot make anything but a tree, so it is
+peeled only when its center is asked for.  Every RootedView, at the center
+or elsewhere, checks its roots and is built by one breadth-first loop over
+the neighbour blocks and one bottom-up pass for the heights.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import json
 import random
 import re
 from array import array
-from collections.abc import Iterable, Iterator, MutableSequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cache, cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import sub
@@ -100,23 +99,26 @@ class Tree(Record):
         """Every edge once, as (u, v) with u < v, in ascending order."""
         return ((u, v) for u, v in self.arcs() if u < v)
 
-    def check_vertex(self, v: int) -> None:
-        _check_vertex(v, self.n)
+    @cached_property
+    def _center(self) -> tuple[int, ...]:
+        """The center, peeled on first use; a tree whose validation peeled
+        it is handed that peel's center instead."""
+        found = _peel(self.nbrs, self.offsets)
+        if found is None:
+            raise NotATree("leaf peeling stalls: the graph has a cycle or is disconnected")
+        return found
 
     @cached_property
     def centered(self) -> RootedView:
         """The tree rooted at its center, built on first use and then shared.
 
-        cached_property stores the view in the instance __dict__, so the
-        fields, equality, hash and repr are untouched.  center and
-        root_at are called through this module's globals, so a wrapper rebound
-        on either name (as the benchmark's traced run does) sees the call.
-        The center the peel left on the tree is dropped once the view
-        holds it as its roots.
+        cached_property stores the center and the view in the instance
+        __dict__, so the fields, equality, hash and repr are untouched.
+        center and root_at are called through this module's globals, so a
+        wrapper rebound on either name (as the benchmark's traced run does)
+        sees the call.
         """
-        view = root_at(self, center(self))
-        self.__dict__.pop("_peel", None)
-        return view
+        return root_at(self, center(self))
 
 
 def _check_vertex(v: int, n: int) -> None:
@@ -133,12 +135,11 @@ def tree_from_edges(edges: Iterable[tuple[int, int]], n: int | None = None) -> T
     return _tree_from_ends(list(chain.from_iterable(edges)), n)
 
 
-def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
+def _tree_from_ends(ends: Sequence[int], n: int | None) -> Tree:
     """tree_from_edges on the edges' ends laid out flat: edge i joins
     ends[2i] and ends[2i+1].  parse_edge_list fills an array of machine
-    ints, so no int object is kept per end.  ends is emptied once
-    the tree is validated; the Tree keeps the center that the validating
-    peel found for its center-rooted view."""
+    ints, so no int object is kept per end.  The Tree caches the center
+    that the validating peel found."""
     m = len(ends) // 2
     if n is not None and n < 1:
         raise NotATree(f"vertex count {n}; a tree has at least 1 vertex")
@@ -211,9 +212,8 @@ def _tree_from_ends(ends: MutableSequence[int], n: int | None) -> Tree:
                     count += 1
                     stack.append(w)
         raise NotATree(f"disconnected: {count} of {n} vertices reachable from 0")
-    del ends[:]
     tree = Tree(n, nbrs, offsets)
-    tree._peel = found
+    tree._center = found
     return tree
 
 
@@ -409,18 +409,9 @@ def center(tree: Tree) -> tuple[int, ...]:
     """Center by repeated leaf peeling: the sorted tuple of the one vertex or
     the two endpoints of the one edge that remain.  A Tree built by
     tree_from_edges or parse_edge_list was peeled when it was validated;
-    any other, random_tree's included, is peeled here.  The tree keeps the
-    center until Tree.centered is built, whose roots are the center then."""
-    view = tree.__dict__.get("centered")
-    if view is not None:
-        return view.roots
-    found = tree.__dict__.get("_peel")
-    if found is None:
-        found = _peel(tree.nbrs, tree.offsets)
-        if found is None:
-            raise NotATree("leaf peeling stalls: the graph has a cycle or is disconnected")
-        tree._peel = found
-    return found
+    any other, random_tree's included, is peeled on its first call.
+    Either way the tree caches the center."""
+    return tree._center
 
 
 class RootedView:
@@ -437,15 +428,18 @@ class RootedView:
     own subtree, 0 exactly when u has no children.
 
     One breadth-first loop over the tree's neighbour blocks builds every
-    view, and one bottom-up pass its heights.  The roots must be one vertex
-    or the two ends of an edge: the loop follows edges only.  A view keeps
-    its tree's vertex count n and nothing else of the tree, so
-    Tree.centered forms no reference cycle and reference counting frees a
-    tree and its view as soon as the last caller drops it.
+    view, and one bottom-up pass its heights.  The roots must be vertices of
+    the tree, checked in the order given, and one vertex or the two ends of
+    an edge: the loop follows edges only.  A view keeps its tree's vertex
+    count n and nothing else of the tree, so Tree.centered forms no
+    reference cycle and reference counting frees a tree and its view as
+    soon as the last caller drops it.
     """
 
     def __init__(self, tree: Tree, roots: tuple[int, ...]):
         self.n = n = tree.n
+        for r in roots:
+            _check_vertex(r, n)
         self.roots = ends = tuple(sorted(roots))
         if len(ends) not in (1, 2) or len(ends) == 2 and ends[1] not in tree.neighbors(ends[0]):
             raise BadParams(f"roots {tuple(roots)} are neither one vertex nor the two ends of an edge")
@@ -534,10 +528,7 @@ class RootedView:
 def root_at(tree: Tree, root: int | tuple[int, ...]) -> RootedView:
     """Root the tree at a vertex, or at a center as returned by center():
     one vertex, or the two ends of an edge."""
-    roots = (root,) if isinstance(root, int) else root
-    for r in roots:
-        tree.check_vertex(r)
-    return RootedView(tree, roots)
+    return RootedView(tree, (root,) if isinstance(root, int) else root)
 
 
 def random_tree(n: int, max_degree: int, seed: int) -> Tree:

@@ -586,6 +586,35 @@ def test_stdin_not_utf8_exit2(capsys, monkeypatch, errors):
     assert "Traceback" not in err
 
 
+MISSING = "missing/x"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["color", "-c", "2", MISSING], None),
+        (["verify", "PATH5", "--coloring", MISSING], None),
+        (["color", "-c", "2", "PATH5", "--coloring-out", MISSING], None),
+        (["gen", "-n", "3", "-o", MISSING], None),
+        (["verify", "PATH5", "--coloring", "ZERO_COLORS"], "num_colors must be >= 1"),
+        (["dnumber", "--max-colors", "0", "PATH5"], "max_colors must be >= 1"),
+        (["gen", "-n", "0"], "n must be >= 1"),
+        (["gen", "-n", "2", "-k", "0"], "an edge needs degree 1 at both ends"),
+        (["color", "-a", "spine", "--spine", "0,1,0", "PATH5"], "spine repeats a vertex"),
+    ],
+)
+def test_bad_input_exit2(capsys, tmp_path, argv, message):
+    # a missing input, an unwritable output and each out-of-range parameter
+    # end in exit 2 with one error line, never a traceback
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"num_colors": 0, "colors": [0] * 5}))
+    names = {"PATH5": str(FIXDIR / "path5.tree"), "ZERO_COLORS": str(zero), MISSING: str(tmp_path / MISSING)}
+    argv = [names.get(arg, arg) for arg in argv]
+    if message is None:
+        message = f"[Errno 2] No such file or directory: {str(tmp_path / MISSING)!r}"
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 _PAYLOAD_TREES = st.one_of(
     st.builds(random_tree, st.integers(1, 60), st.integers(2, 8), st.integers(0, 10**6)),
     # complete trees with valence 5 or 6 build main lines at c = 3

@@ -73,6 +73,10 @@ class TestFixRadius:
         with pytest.raises(BadParams, match="^need at least 2 colors$"):
             fix_radius(1, 5)
 
+    def test_negative_max_degree(self):
+        with pytest.raises(BadParams, match="^max_degree must be >= 0$"):
+            fix_radius(2, -1)
+
 
 class TestCeilFixRadius:
     @pytest.mark.parametrize(
@@ -174,6 +178,11 @@ class TestLsbDigits:
         with pytest.raises(BadParams, match="^index 8 does not fit in 3 base-2 digits$"):
             lsb_digits(8, 3, 2)
         assert lsb_digits(7, 3, 2) == [1, 1, 1]
+
+    @pytest.mark.parametrize(("length", "base"), [(3, 1), (3, 0), (-1, 2)])
+    def test_bad_base_or_length(self, length, base):
+        with pytest.raises(BadParams, match="^need base >= 2 and length >= 0$"):
+            lsb_digits(0, length, base)
 
 
 def guaranteed_vertices(tree, num_colors):
@@ -656,6 +665,22 @@ def caterpillar(spine_len: int, pendants: int = 1):
     return tree_from_edges(edges, n=nxt), list(range(spine_len + 1))
 
 
+# both colorings take a valence bound, and refuse one below the tree's
+@pytest.mark.parametrize(
+    "color", [lambda t, k: color_anchored(t, 1, max_degree=k), lambda t, k: color_spine(t, [1, 0], max_degree=k)]
+)
+def test_max_degree_below_valence(color):
+    with pytest.raises(BadParams, match="^tree valence 3 exceeds declared bound 2$"):
+        color(helpers.star_tree(3), 2)
+
+
+# and both check the vertices they are given
+@pytest.mark.parametrize("color", [lambda t: color_anchored(t, -1), lambda t: color_spine(t, [1, 0, -1])])
+def test_vertex_out_of_range(color):
+    with pytest.raises(BadParams, match=r"^vertex -1 not in 0\.\.3$"):
+        color(helpers.star_tree(3))
+
+
 class TestColorSpine:
     def test_caterpillar_spine_stabilizer_trivial(self):
         t, spine = caterpillar(6)
@@ -684,6 +709,10 @@ class TestColorSpine:
         t = helpers.path_tree(5)
         with pytest.raises(BadParams, match="^spine vertices 0 and 2 are not adjacent$"):
             color_spine(t, [0, 2, 4])
+
+    def test_rejects_empty_spine(self):
+        with pytest.raises(BadParams, match="^spine is empty$"):
+            color_spine(helpers.path_tree(3), [])
 
     def test_rejects_overloaded_end(self):
         t = helpers.star_tree(3)

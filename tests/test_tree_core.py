@@ -157,23 +157,16 @@ class TestPeakMemory:
     about 1.14."""
 
     def test_parse(self):
-        # the tree keeps its peel only until its view is built, so the peel
-        # is dropped before `kept` is read
+        # `kept` counts the center the tree caches from its validating peel
         probe = helpers.memory_probe_tree()
         text = format_edge_list(probe)
-
-        def parse_without_peel():
-            tree = parse_edge_list(text)
-            del tree._peel
-            return tree
-
-        tree, peak, kept = helpers.traced_peak(parse_without_peel)
+        tree, peak, kept = helpers.traced_peak(lambda: parse_edge_list(text))
         assert tree == probe
         assert peak < 100 * tree.n, (peak / tree.n, kept / tree.n)
         assert kept < TREE_BYTES_PER_VERTEX * tree.n, kept / tree.n
 
     @pytest.mark.parametrize("build", ["parse", "random_tree", "direct"])
-    def test_no_peel_left_once_centered(self, build):
+    def test_center_kept_once_centered(self, build):
         probe = helpers.memory_probe_tree()
         if build == "parse":
             tree = parse_edge_list(format_edge_list(probe))
@@ -184,11 +177,13 @@ class TestPeakMemory:
         else:
             tree = Tree(probe.n, probe.nbrs, probe.offsets)
             center(tree)
-        # the peel leaves the center on the tree, and no array but the two
-        assert vars(tree)["_peel"] == helpers.reference_center(tree)
+        # the peel leaves the center cached on the tree, and no array but the
+        # two; building the view keeps the center
+        assert vars(tree)["_center"] == helpers.reference_center(tree)
         _assert_two_arrays(tree)
         tree.centered
-        assert sorted(vars(tree)) == ["centered", "n", "nbrs", "offsets"]
+        assert sorted(vars(tree)) == ["_center", "centered", "n", "nbrs", "offsets"]
+        assert tree.centered.roots == vars(tree)["_center"]
         _assert_two_arrays(tree)
 
     @pytest.mark.parametrize("build", ["parse", "random_tree", "tree_from_edges"])
@@ -288,6 +283,16 @@ class TestRootAt:
     def test_out_of_range(self):
         with pytest.raises(BadParams, match=r"^vertex 7 not in 0\.\.2$"):
             root_at(helpers.path_tree(3), 7)
+
+    # a view checks its own roots, in the order given: a negative root is
+    # not read from the end, and one past n is not an IndexError
+    @pytest.mark.parametrize("build", [root_at, RootedView])
+    @pytest.mark.parametrize(
+        ("roots", "bad"), [((-1,), -1), ((3,), 3), ((1, -1), -1), ((3, 0), 3), ((2, 5, -1), 5), ((1, 1, 7), 7)]
+    )
+    def test_roots_out_of_range(self, build, roots, bad):
+        with pytest.raises(BadParams, match=rf"^vertex {bad} not in 0\.\.2$"):
+            build(helpers.path_tree(3), roots)
 
     # RootedView is public too, and its one loop follows edges only
     @pytest.mark.parametrize("build", [root_at, RootedView])
@@ -404,10 +409,9 @@ class TestCentered:
 
 
 class TestOnePeel:
-    """No call sequence peels a tree twice: the peel that validated it gives
-    the center, a view at the center built before Tree.centered leaves it
-    in place, and center() reads the centered view's roots once the tree
-    has dropped it."""
+    """No call sequence peels a tree twice: the peel that validated it, or
+    the first center() call, gives the center the tree caches, and a view
+    at the center built before or after Tree.centered reads that cache."""
 
     @pytest.fixture
     def peels(self, monkeypatch):
@@ -440,7 +444,7 @@ class TestOnePeel:
         t = random_tree(50, 4, 3)
         roots = t.centered.roots
         assert center(t) == roots
-        assert sorted(vars(t)) == ["centered", "n", "nbrs", "offsets"]
+        assert sorted(vars(t)) == ["_center", "centered", "n", "nbrs", "offsets"]
         assert len(peels) == 1
 
     def test_cli_spine_on_star_centered_at_0(self, peels, tmp_path):
