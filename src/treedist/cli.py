@@ -176,16 +176,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.report:
         report = fix_report(tree, coloring).to_json_dict()
         # the count is printed in full, past the interpreter's cap on the
-        # digits of an int written as text (3.10.7 on; 0 is no cap); the cap
-        # comes back after, as main also runs inside other programs
-        cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-        if cap:
-            sys.set_int_max_str_digits(0)
+        # digits of an int written as text (0 is no cap); the cap comes back
+        # after, as main also runs inside other programs
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
         try:
             text = json.dumps(report)
         finally:
-            if cap:
-                sys.set_int_max_str_digits(cap)
+            sys.set_int_max_str_digits(cap)
         print(text)
         return 0
     from .verifier import verify_fixing_guarantee

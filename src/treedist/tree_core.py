@@ -30,7 +30,7 @@ import random
 import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import sub
 
@@ -287,16 +287,6 @@ _CHUNK = 1 << 16
 _TO_JSON = str.maketrans(" \n", ",,")
 
 
-@cache
-def _canonical_form() -> re.Pattern | None:
-    """_CANONICAL compiled on first use; None before Python 3.11, which has
-    no possessive repeats, and where every text is read line by line."""
-    try:
-        return re.compile(_CANONICAL)
-    except re.error:
-        return None
-
-
 def parse_edge_list(text: str) -> Tree:
     """Parse the plain edge-list format: one "u v" pair per line.
 
@@ -307,8 +297,7 @@ def parse_edge_list(text: str) -> Tree:
     expression match and converted in bulk, as JSON; any other text is read
     line by line, with the same result.
     """
-    form = _canonical_form()
-    match = None if form is None else form.fullmatch(text)
+    match = re.fullmatch(_CANONICAL, text)
     if match is not None:
         ends = array("q")
         head = match.group(1)

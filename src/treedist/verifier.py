@@ -25,6 +25,7 @@ class Failure(Record):
     """One violated property with enough context to replay it."""
 
     __slots__ = _fields = ("seed", "n", "k", "c", "prop", "witness")
+    __hash__ = None  # mutable, as its witness dict is
 
     def __init__(self, seed: int | None, n: int, k: int, c: int | None, prop: str, witness: dict):
         self.seed = seed

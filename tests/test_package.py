@@ -144,6 +144,11 @@ def test_dir_lists_every_name():
     assert "__version__" in names and names == sorted(names)
 
 
+def test_dir_in_process():
+    # the module __dir__ in this process; the test above runs it in a subprocess
+    assert set(treedist.__all__) <= set(dir(treedist))
+
+
 def test_module_attribute_in_a_fresh_interpreter():
     # `import treedist` once bound every module; its attributes still reach them
     assert _fresh("import treedist; print(treedist.verifier.__name__, treedist.fix_radius(2, 7))") == (

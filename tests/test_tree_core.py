@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treedist import (
+    Coloring,
+    Failure,
+    FixReport,
     RootedView,
     Tree,
     center,
@@ -30,7 +33,6 @@ from treedist import (
 from treedist import tree_core
 from treedist.cli import main
 from treedist.errors import BadFormat, BadParams, NotATree
-from treedist.tree_core import _canonical_form
 
 import helpers
 
@@ -150,11 +152,10 @@ class TestPeakMemory:
     and the final tuples), then at 155 bytes a vertex with an adjacency
     list per vertex alive next to the tuples they became; filling the two
     arrays straight from the ends it reads about 64, much of it the
-    parser's JSON chunks, 64 KiB of text each whatever n (84 on Python
-    3.10, which reads the text line by line).  Rooting once peaked at 2.8 times
-    its view (n children lists, then a tuple copy of each), then at 1.28
-    while the view's order shared the tree's int objects; today it reads
-    about 1.14."""
+    parser's JSON chunks, 64 KiB of text each whatever n.  Rooting once
+    peaked at 2.8 times its view (n children lists, then a tuple copy of
+    each), then at 1.28 while the view's order shared the tree's int
+    objects; today it reads about 1.14."""
 
     def test_parse(self):
         # `kept` counts the center the tree caches from its validating peel
@@ -614,10 +615,10 @@ BOUNDARY_TEXTS = [
 
 
 def _parse_line_by_line(text: str):
-    """parse_edge_list as it runs before Python 3.11, where _canonical_form
-    is None and canonical text too is read line by line."""
+    """parse_edge_list with a canonical form that matches nothing, so that
+    canonical text too is read line by line."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tree_core, "_canonical_form", lambda: None)
+        mp.setattr(tree_core, "_CANONICAL", "(?!)")
         return parse_edge_list(text)
 
 
@@ -686,9 +687,14 @@ class TestAgainstReference:
         # format_edge_list output, fixtures included, takes the bulk path,
         # and nothing the form excludes does
         for tree in [random_tree(300, 4, 2), *(f() for f in NAMED_TREES.values())]:
-            assert _canonical_form().fullmatch(format_edge_list(tree))
+            assert re.fullmatch(tree_core._CANONICAL, format_edge_list(tree))
         for text in ["0 1", "0 01\n", "# n=0\n", f"{2**63} 0\n", "1 2\r\n", "0 1\n# n=2\n", "0 \u0661\n"]:
-            assert not _canonical_form().fullmatch(text)
+            assert not re.fullmatch(tree_core._CANONICAL, text)
+
+    def test_line_by_line_on_a_large_tree(self):
+        # the two routes agree beyond hypothesis-sized inputs
+        text = format_edge_list(random_tree(2**15, 8, 1))
+        assert parse_edge_list(text) == _parse_line_by_line(text)
 
     @settings(max_examples=200, deadline=None)
     @given(case=edge_lists())
@@ -993,3 +999,14 @@ def test_tree_equality_and_edges():
     t = helpers.path_tree(4)
     assert helpers.edges(t) == [(0, 1), (1, 2), (2, 3)]
     assert t == tree_from_edges([(2, 3), (0, 1), (1, 2)])
+
+
+def test_record_hash_and_foreign_equality():
+    # a record with a mutable field declares itself unhashable; the others
+    # hash their fields, and a record is unequal to any other type
+    failure = Failure(0, 3, 2, 2, "fixed", {"vertex": 1})
+    with pytest.raises(TypeError, match="'Failure'"):
+        hash(failure)
+    assert hash(Coloring(2, (0, 1, 0))) == hash(Coloring(2, (0, 1, 0)))
+    assert hash(FixReport((0, 1, 0), (False, True, False), 2)) == hash(FixReport((0, 1, 0), (False, True, False), 2))
+    assert (helpers.path_tree(3) == 5) is False
