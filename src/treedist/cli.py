@@ -36,6 +36,8 @@ DOT_PALETTE = ("white", "black", "gray", "lightblue", "orange", "palegreen", "pl
 def read_tree(path: str) -> Tree:
     try:
         if path == "-":
+            if sys.stdin is None:  # started with its standard input closed
+                raise BadFormat("-: standard input is closed")
             # the raw bytes, decoded strictly: the interpreter's own stdin
             # decoder may be lenient (surrogateescape under a C/POSIX locale)
             raw = getattr(sys.stdin, "buffer", None)
@@ -114,6 +116,8 @@ def _json_pieces(payload: dict) -> Iterator[str]:
 
 def _write_or_print(lines: Iterable[str], path: str | None) -> None:
     if path is None or path == "-":
+        if sys.stdout is None:  # started with its standard output closed
+            raise OSError("standard output is closed")
         sys.stdout.writelines(lines)
     else:
         with open(path, "w", encoding="utf-8") as fh:
@@ -204,7 +208,7 @@ def cmd_dnumber(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    sys.stdout.write(render_radius_table(args.c_max, args.k_max))
+    _write_or_print([render_radius_table(args.c_max, args.k_max)], None)
     return 0
 
 

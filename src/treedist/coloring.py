@@ -317,8 +317,6 @@ def color_near_distinguishing(tree: Tree) -> Coloring:
     both halves continue sibling-distinct, fixing everything.
     """
     n = tree.n
-    if n == 1:
-        return Coloring(1, (0,))
     k = max_valence(tree)
     num = max(k - 1, 1)
     rv = tree.centered
@@ -375,8 +373,6 @@ def color_regular(tree: Tree) -> Coloring:
     assigned in ascending vertex id.
     """
     n = tree.n
-    if n == 1:
-        return Coloring(2, (0,))
     k = max_valence(tree)
     bad = [v for v in range(n) if tree.degree(v) not in (1, k)]
     if bad:

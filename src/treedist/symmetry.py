@@ -11,7 +11,9 @@ color_tree labels the uncolored shape once and groups sibling twins by
 color and shape, which suffices because no twin has a colored descendant
 yet.  The byte-code builders (canonical_codes, subtree_code,
 structural_codes) remain as reference oracles for the tests and the
-benchmark's traced run; no library path calls one.
+benchmark's traced run; no library path calls one.  Every byte code tags
+each vertex with a color: structural_codes is canonical_codes over the
+one-color coloring.
 
 Everything here is pure given immutable inputs, so different trees can be
 processed in parallel without coordination.  fixed_vertices decides which
@@ -148,19 +150,13 @@ def canonical_labels(rv: RootedView, colors: Sequence[int]) -> list[int]:
     return labels
 
 
-def _byte_codes(
-    rv: RootedView, order: Iterable[int], colors: Sequence[int] | None = None, num_colors: int = 0
-) -> dict[int, bytes]:
+def _byte_codes(rv: RootedView, order: Iterable[int], colors: Sequence[int], num_colors: int) -> dict[int, bytes]:
     """Nested byte code of every vertex in `order` (children before parents):
-    the vertex's color as 4 bytes (none when `colors` is None; UNCOLORED as
-    the sentinel num_colors), then its children's codes sorted bytewise, in
-    parentheses."""
+    the vertex's color as 4 bytes (UNCOLORED as the sentinel num_colors),
+    then its children's codes sorted bytewise, in parentheses."""
     codes: dict[int, bytes] = {}
     for u in order:
-        if colors is None:
-            tag = b""
-        else:
-            tag = (num_colors if colors[u] == UNCOLORED else colors[u]).to_bytes(4, "big")
+        tag = (num_colors if colors[u] == UNCOLORED else colors[u]).to_bytes(4, "big")
         codes[u] = b"(" + tag + b"".join(sorted(codes[w] for w in rv.children_of(u))) + b")"
     return codes
 
@@ -184,9 +180,9 @@ def subtree_code(rv: RootedView, colors: list[int], num_colors: int, u: int) -> 
 
 def structural_codes(rv: RootedView) -> list[bytes]:
     """Per-vertex canonical byte code of the uncolored subtree shape below
-    each vertex."""
-    codes = _byte_codes(rv, reversed(rv.order))
-    return [codes[u] for u in range(rv.n)]
+    each vertex: the codes of the one-color coloring, whose constant tag
+    leaves only the shape to tell two vertices apart."""
+    return canonical_codes(rv, Coloring(1, (0,) * rv.n))
 
 
 class FixReport(Record):

@@ -381,7 +381,7 @@ def fix_radius(num_colors: int, max_degree: int) -> int:
         raise BadParams("need at least 2 colors")
     if k < 0:
         raise BadParams("max_degree must be >= 0")
-    if k <= 2 or c >= k:
+    if c >= k:
         return 0
     if c == k - 1:
         return 1

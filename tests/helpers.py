@@ -356,6 +356,45 @@ def spider_tree(legs: int, length: int) -> Tree:
     return tree_from_edges(edges, n=1 + legs * length)
 
 
+def three_arm_tree(branch_size: int, member_chain: int = 0) -> Tree:
+    """Root with three identical deep arms plus two pendant leaves; each arm's
+    level-1 vertex carries an off-line subtree: a chain, then `branch_size`
+    siblings, each continued by a chain of `member_chain`."""
+    edges = []
+    nxt = 1
+    for _ in range(3):
+        arm = nxt
+        edges.append((0, arm))
+        nxt += 1
+        x1 = nxt
+        edges.append((arm, x1))
+        nxt += 1
+        prev = x1
+        for _ in range(4):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+        y = nxt
+        edges.append((x1, y))
+        nxt += 1
+        y1 = nxt
+        edges.append((y, y1))
+        nxt += 1
+        for _ in range(branch_size):
+            member = nxt
+            edges.append((y1, member))
+            nxt += 1
+            prev = member
+            for _ in range(member_chain):
+                edges.append((prev, nxt))
+                prev = nxt
+                nxt += 1
+    for _ in range(2):
+        edges.append((0, nxt))
+        nxt += 1
+    return tree_from_edges(edges, n=nxt)
+
+
 def view_children(rv) -> tuple[tuple[int, ...], ...]:
     """Each vertex's children in rv, as the ascending tuples a RootedView
     once kept: every vertex but a root listed under its parent."""

@@ -274,13 +274,13 @@ class TestVerify:
         tree_path, colj = tmp_path / "star.tree", tmp_path / "coloring.json"
         tree_path.write_text(format_edge_list(helpers.star_tree(2000)))
         colj.write_text(json.dumps({"num_colors": 1, "colors": [0] * 2001}))
-        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        cap = sys.get_int_max_str_digits()
         code, out, err = run(capsys, "verify", str(tree_path), "--coloring", str(colj), "--report")
         assert (code, err) == (0, "")
         report = json.loads(out, parse_int=decimal.Decimal)
         assert report["aut_count"] == math.factorial(2000)
         assert report["orbit"] == [0] + [1] * 2000
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+        assert sys.get_int_max_str_digits() == cap
 
     def test_more_colors_than_valence(self, capsys, tmp_path):
         colj = tmp_path / "coloring.json"
@@ -584,6 +584,28 @@ def test_stdin_not_utf8_exit2(capsys, monkeypatch, errors):
     assert out == ""
     assert err.startswith("error: ") and "not UTF-8" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "stream, argv, message",
+    [
+        ("stdin", ["color", "-c", "2", "-"], "-: standard input is closed"),
+        ("stdin", ["verify", "-", "--coloring", "unread.json"], "-: standard input is closed"),
+        ("stdin", ["dnumber", "-"], "-: standard input is closed"),
+        ("stdout", ["gen", "-n", "5"], "standard output is closed"),
+        ("stdout", ["table"], "standard output is closed"),
+        (
+            "stdout",
+            ["color", "-c", "2", str(FIXDIR / "path5.tree"), "--coloring-out", "-"],
+            "standard output is closed",
+        ),
+    ],
+)
+def test_closed_standard_stream_exit2(capsys, monkeypatch, stream, argv, message):
+    # a process started with a standard stream closed (`<&-`, `>&-`) has
+    # None in its place, not a file
+    monkeypatch.setattr(f"sys.{stream}", None)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 MISSING = "missing/x"

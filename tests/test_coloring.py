@@ -310,45 +310,6 @@ class TestColorTreeMain:
                 assert all(v <= bound for v in counts.values()), (p, counts)
 
 
-def _three_arm_tree(branch_size: int, member_chain: int = 0):
-    """Root with three identical deep arms plus two pendant leaves; each arm's
-    level-1 vertex carries an off-line subtree: a chain, then `branch_size`
-    siblings, each continued by a chain of `member_chain`."""
-    edges = []
-    nxt = 1
-    for _ in range(3):
-        arm = nxt
-        edges.append((0, arm))
-        nxt += 1
-        x1 = nxt
-        edges.append((arm, x1))
-        nxt += 1
-        prev = x1
-        for _ in range(4):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        y = nxt
-        edges.append((x1, y))
-        nxt += 1
-        y1 = nxt
-        edges.append((y, y1))
-        nxt += 1
-        for _ in range(branch_size):
-            member = nxt
-            edges.append((y1, member))
-            nxt += 1
-            prev = member
-            for _ in range(member_chain):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-    for _ in range(2):
-        edges.append((0, nxt))
-        nxt += 1
-    return tree_from_edges(edges, n=nxt)
-
-
 class TestStepFourVariants:
     """Directed constructions for the branches random trees rarely reach."""
 
@@ -364,7 +325,7 @@ class TestStepFourVariants:
         return Counter(rule.split("[")[0] for rule in trace.rules)
 
     def test_two_color_no_branch_chain(self):
-        t = _three_arm_tree(branch_size=0)
+        t = helpers.three_arm_tree(branch_size=0)
         coloring, trace = color_tree(t, 2)
         tags = self._tags(trace)
         assert tags["step4_case1"] == 2
@@ -372,7 +333,7 @@ class TestStepFourVariants:
         self._assert_guarantee(t, 2, coloring)
 
     def test_two_color_small_branching_all_ones(self):
-        t = _three_arm_tree(branch_size=3)
+        t = helpers.three_arm_tree(branch_size=3)
         coloring, trace = color_tree(t, 2)
         tags = self._tags(trace)
         assert tags["step4_case1"] == 10  # 2 lines: y, chain vertex, 3 branch members
@@ -386,7 +347,7 @@ class TestStepFourVariants:
         self._assert_guarantee(t, 2, coloring)
 
     def test_two_color_wide_branching_balanced(self):
-        t = _three_arm_tree(branch_size=4)
+        t = helpers.three_arm_tree(branch_size=4)
         coloring, trace = color_tree(t, 2)
         children = helpers.view_children(root_at(t, center(t)))
         found = 0
@@ -403,7 +364,7 @@ class TestStepFourVariants:
     def test_two_color_rework_lines_inside_offline_subtree(self):
         # deep branch members satisfy the distance condition, so the sweep must
         # separate them with further main lines after step 4
-        t = _three_arm_tree(branch_size=4, member_chain=3)
+        t = helpers.three_arm_tree(branch_size=4, member_chain=3)
         coloring, trace = color_tree(t, 2)
         tags = self._tags(trace)
         assert tags["main_line"] > 6

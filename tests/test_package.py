@@ -9,6 +9,7 @@ import ast
 import importlib
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -170,3 +171,12 @@ def test_one_error_class_per_source_of_a_mistake():
             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name):
                 raised.add(node.exc.func.id)
     assert set(defined) - {"TreedistError"} <= raised
+
+
+def test_console_script_is_cli_main():
+    # pip makes the `treedist` command from this entry; nothing else runs it
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["treedist"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is importlib.import_module("treedist.cli").main

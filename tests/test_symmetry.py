@@ -35,7 +35,7 @@ from treedist import (
 )
 from treedist.cli import _dot_lines
 from treedist.errors import BadFormat, BadParams, BudgetExceeded, TreedistError
-from treedist.symmetry import VERIFY_BATCH, _check_batch, canonical_codes, subtree_code
+from treedist.symmetry import VERIFY_BATCH, _check_batch, canonical_codes, structural_codes, subtree_code
 import treedist.coloring as coloring_module
 import treedist.symmetry as symmetry
 import treedist.tree_core as tree_core
@@ -142,6 +142,16 @@ class TestCanonicalLabels:
             for x in kids:
                 for y in kids:
                     assert (labels[x] == labels[y]) == (codes[x] == codes[y])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=partially_colored_trees())
+    def test_structural_codes_match_uncolored_labels(self, case):
+        rv, _ = case
+        labels = canonical_labels(rv, bytes(rv.n))
+        codes = structural_codes(rv)
+        for u in range(rv.n):
+            for v in range(rv.n):
+                assert (labels[u] == labels[v]) == (codes[u] == codes[v])
 
     def test_uncolored_is_its_own_color(self):
         rv = root_at(helpers.star_tree(3), 0)
@@ -741,10 +751,12 @@ def _hub(copies: int, sub):
 
 
 #: Digests (sha256 prefix) of the coloring and trace JSON that color_tree
-#: produced for every fixture, plus five generated trees on which main lines
+#: produced for every fixture, plus six generated trees on which main lines
 #: fire, at every c from 2 to the max valence.  Recorded with the byte-code
 #: labelling, before the switch to interned labels, which must not change a
-#: single output byte.
+#: single output byte; three_arm_no_branch, whose two-color sweep is the only
+#: one to use step4_case1_no_branch, was recorded later, before the
+#: single-vertex special cases left the colorings.
 GOLDEN_COLOR_TREE = {
     ("complete_1_3_depth1", 2): ("945451573d4b9a4b", "c6b91bd482a43c38"),
     ("complete_1_3_depth1", 3): ("ac83787b2c016fa0", "35ad399115c2c370"),
@@ -803,6 +815,10 @@ GOLDEN_COLOR_TREE = {
     ("hub4_random16", 3): ("daa4efc14cd5f644", "207304df83d25bd1"),
     ("hub4_random16", 4): ("53a15743b2c45688", "f7a1671a7709538e"),
     ("hub4_random16", 5): ("b4ecfb773a505a27", "5a162bfd4e85747a"),
+    ("three_arm_no_branch", 2): ("77419b96c68d2c6f", "0552ee83f976bda7"),
+    ("three_arm_no_branch", 3): ("b47b527d810bf139", "a7340bc13e8b75ab"),
+    ("three_arm_no_branch", 4): ("8e719e39f91d38bb", "39b73c33f477ef74"),
+    ("three_arm_no_branch", 5): ("5f006e8b2ce973aa", "6746cdae746e4e63"),
 }
 
 
@@ -865,6 +881,10 @@ GOLDEN_FIX_AND_DOT = {
     ("hub4_random16", 3): ("9012cffddb045ac0", "c2be3665e3312a6f"),
     ("hub4_random16", 4): ("ff2015c15d9ef7b0", "0f0e678d93675a03"),
     ("hub4_random16", 5): ("ff2015c15d9ef7b0", "0f0e678d93675a03"),
+    ("three_arm_no_branch", 2): ("6ebcbd4a1d0c2a66", "257ce4c9eb41aa0b"),
+    ("three_arm_no_branch", 3): ("6ebcbd4a1d0c2a66", "c4bdd81c53ca8962"),
+    ("three_arm_no_branch", 4): ("1106a268400af239", "e72ac32fa8dfbce7"),
+    ("three_arm_no_branch", 5): ("1106a268400af239", "165dcffeac9ab722"),
 }
 
 
@@ -879,6 +899,7 @@ def _golden_tree(name: str):
         "hub4_binary4": lambda: _hub(4, helpers.complete_tree(3, 4)),
         "hub4_random16": lambda: _hub(4, random_tree(16, 6, 101)),
         "random_300_k6": lambda: random_tree(300, 6, 2),
+        "three_arm_no_branch": lambda: helpers.three_arm_tree(branch_size=0),
     }
     return generated[name]() if name in generated else helpers.load_fixture(name)
 
@@ -896,6 +917,23 @@ class TestColorTreeGolden:
             coloring, trace = color_tree(t, c)
             got = (_digest(coloring.to_json_dict()), _digest(trace.to_json_dict()))
             assert got == GOLDEN_COLOR_TREE[(name, c)], (name, c)
+
+    def test_golden_trees_fire_every_rule_tag(self):
+        tags = set()
+        for name in {name for name, _ in GOLDEN_COLOR_TREE}:
+            t = _golden_tree(name)
+            for c in range(2, max_valence(t) + 1):
+                tags.update(rule.split("[")[0] for rule in color_tree(t, c)[1].rules)
+        assert tags == {
+            "root",
+            "step2_default",
+            "step3_optimal",
+            "main_line",
+            "step4_case1",
+            "step4_case1_no_branch",
+            "step4_case2",
+            "lemma",
+        }
 
     @pytest.mark.parametrize("name", sorted({name for name, _ in GOLDEN_FIX_AND_DOT}))
     def test_fix_report_and_dot_bytes_pinned(self, name):
@@ -1071,6 +1109,14 @@ GOLDEN_SIBLING_FILL = {
         "25c295fa2919c7c2",
         "088c010cac07e7da",
         "BadParams: vertex 1 has valence 2, not 1 or 8",
+    ),
+    "three_arm_no_branch": (
+        "fe259a191e299ccd",
+        "BadParams: anchor valence 5 must be <= 4",
+        "BadParams: anchor valence 5 must be <= 4",
+        "c7662e1473433c4d",
+        "f5be26729202876a",
+        "BadParams: vertex 1 has valence 2, not 1 or 5",
     ),
     "random_300": "f7ddc55b0454a064",
 }
